@@ -2,7 +2,6 @@
 
 from .autodiff import ParameterStore, Tape, Variable, grad_check
 from .data import load_csv, prepare
-from .kernels import active_backend, set_backend
 from .moge import AdaMoGeModel, ModelConfig
 from .training import EvalReport, TrainConfig, fit, grid_search
 
@@ -14,12 +13,10 @@ __all__ = [
     "Tape",
     "TrainConfig",
     "Variable",
-    "active_backend",
     "fit",
     "grad_check",
     "grid_search",
     "load_csv",
     "prepare",
-    "set_backend",
 ]
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -52,32 +53,40 @@ def load(path: str) -> tuple[str, dict[str, np.ndarray]]:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     if blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not an adamoge checkpoint")
+    view = memoryview(blob)
     off = len(MAGIC)
 
-    def take(fmt):
+    def take(size):
         nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
+        if size > len(blob) - off:
             raise CheckpointError(f"{path}: truncated checkpoint")
-        out = struct.unpack_from(fmt, blob, off)
         off += size
-        return out
+        return view[off - size : off]
 
-    (fp_len,) = take("<I")
-    fingerprint = blob[off : off + fp_len].decode("utf-8")
-    off += fp_len
-    (count,) = take("<I")
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def text(what):
+        (length,) = unpack("<I")
+        try:
+            return str(take(length), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: {what} is not valid UTF-8") from exc
+
+    fingerprint = text("fingerprint")
+    (count,) = unpack("<I")
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = take("<I")
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = take("<I")
-        shape = take(f"<{rank}Q") if rank else ()
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).copy()
-        off += size * 8
-        entries[name] = arr.reshape(shape)
+        name = text("parameter name")
+        (rank,) = unpack("<I")
+        shape = unpack(f"<{rank}Q")
+        raw = take(8 * math.prod(shape))
+        # reshape rejects a rank above numpy's limit, and an oversized
+        # dimension in an otherwise empty array
+        try:
+            entries[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: entry {name!r} has unusable shape") from exc
     if off != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after last entry")
     return fingerprint, entries
@@ -100,5 +109,8 @@ def load_into(path: str, store: ParameterStore, expected_fingerprint: str | None
         raise CheckpointError(
             f"checkpoint does not match the model: missing {missing}, unexpected {extra}"
         )
+    reshaped = [n for n in store.names() if entries[n].shape != store[n].value.shape]
+    if reshaped:
+        raise CheckpointError(f"checkpoint does not match the model: shapes differ for {reshaped}")
     store.load_state_dict(entries)
     return fingerprint

@@ -12,6 +12,8 @@ import csv
 import os
 import sys
 
+import numpy as np
+
 from . import checkpoint as ckpt
 from . import config as cfgmod
 from . import data as datamod
@@ -187,6 +189,8 @@ def _restore(args) -> tuple[RunConfig, datamod.Dataset, AdaMoGeModel, str]:
 def cmd_eval(args) -> int:
     cfg, ds, model, fp = _restore(args)
     mse, mae = evaluate(model, ds, ds.split.test, cfg.train.batch_size)
+    if not np.isfinite([mse, mae]).all():
+        raise NumericError(f"non-finite test metrics (mse={mse}, mae={mae}); no report written")
     report = EvalReport(
         dataset=ds.name, horizon=model.horizon, mse=mse, mae=mae,
         params=model.parameter_count(), seconds=0.0, fingerprint=fp,
@@ -211,6 +215,8 @@ def cmd_predict(args) -> int:
     forecast = model.predict(window[None])[0]
     history_raw = datamod.denormalize(window, ds.stats)
     forecast_raw = datamod.denormalize(forecast, ds.stats)
+    if not np.isfinite(forecast_raw).all():
+        raise NumericError("forecast has non-finite values; no forecast written")
     out_dir = cfg.output.dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "forecast.csv")

@@ -1,28 +1,70 @@
-"""Half-spectrum FFT pair for real signals.
+"""Half-spectrum transform pair for real signals.
 
 Convention: unnormalised forward transform, 1/n-scaled inverse, so that for
 a length-L real signal with half spectrum X
 
     sum(x**2) == (|X_0|**2 + 2*sum_{0<k<L/2} |X_k|**2 + [L even]|X_{L/2}|**2) / L.
 
-Power-of-two lengths run through an iterative radix-2 kernel.  Composite
-lengths n = r * 2^a with a small odd part r (96, 192, 336, 720, ...) are
-decimated into r power-of-two sub-transforms recombined by a batched r x r
-twiddle contraction.  Everything else (large prime factors, e.g. 97) goes
-through Bluestein's chirp-z algorithm on a padded power of two.  All paths
-are O(n log n) per row and operate on whole row batches.
+The algorithm is chosen by length alone:
+
+* n <= ``_DENSE_MAX``: dense real-DFT GEMMs.  Each length gets one cached
+  (n, 2F) ``[cos | -sin]`` matrix; :func:`rfft` is one matrix product against
+  it and :func:`irfft` one product against its transpose, after the spectrum
+  is scaled by the half-weights and 1/n.  The model only ever transforms a
+  few fixed lengths (L = 96 in, H in {96, 192, 336, 720} out), so the plans
+  are built once.
+* n > ``_DENSE_MAX``: an O(n log n) complex FFT on whole row batches --
+  iterative radix-2 for powers of two, Bluestein's chirp-z on a padded power
+  of two for everything else.  Known cost: a long length with an odd factor
+  pays for Bluestein's three padded transforms (a 224 x 1440 rfft takes about
+  0.4 s on a 2-vCPU Xeon VM with one BLAS thread, against about 0.1 s at
+  2048).  No default model length reaches this path.
+
+Everything here is plain numpy arithmetic; ``numpy.fft`` serves only as an
+oracle in the tests and the benchmark.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
+# Largest length served by a dense plan.  A plan holds 8*n**2 bytes (4 MB at
+# 720, 8 MB at 1024) and costs O(n**2) per row.  On a 2-vCPU Xeon VM with one
+# BLAS thread radix-2 only catches up with the dense product between n = 2048
+# and 4096, where a plan would take 34-134 MB; the cap keeps plans small while
+# every model length (up to 720) stays dense.
+_DENSE_MAX = 1024
 
 
 def half_bins(n: int) -> int:
     """Number of non-redundant spectrum bins of a length-n real signal."""
     return n // 2 + 1
+
+
+# --- dense real-DFT plans (n <= _DENSE_MAX) -------------------------------------
+
+_dense_plans: dict[int, np.ndarray] = {}
+
+
+def _dense_plan(n: int) -> np.ndarray:
+    """(n, 2F) real-DFT matrix ``[cos | -sin]``: :func:`rfft` multiplies by it,
+    :func:`irfft` by its transpose."""
+    plan = _dense_plans.get(n)
+    if plan is None:
+        t = np.arange(n, dtype=np.int64)
+        k = np.arange(half_bins(n), dtype=np.int64)
+        # reduce k*t mod n in integers so every angle lies in [0, 2*pi)
+        angle = (2.0 * np.pi / n) * ((t[:, None] * k[None, :]) % n)
+        plan = np.concatenate([np.cos(angle), -np.sin(angle)], axis=1)
+        plan.flags.writeable = False
+        _dense_plans[n] = plan
+    return plan
+
+
+# --- O(n log n) complex FFT (n > _DENSE_MAX) ------------------------------------
+
+_pow2_plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_bluestein_plans: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
 
 
 def _is_pow2(n: int) -> bool:
@@ -37,15 +79,6 @@ def _bit_reverse(n: int) -> np.ndarray:
     return rev
 
 
-_pow2_plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_split_plans: dict[int, tuple[int, int, np.ndarray]] = {}
-_bluestein_plans: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-
-# largest odd co-factor the split-radix path recombines directly; beyond
-# this the r^2 twiddle contraction stops paying off versus Bluestein
-_SPLIT_ODD_MAX = 45
-
-
 def _pow2_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
     plan = _pow2_plans.get(n)
     if plan is None:
@@ -57,32 +90,22 @@ def _pow2_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fft_pow2(z: np.ndarray) -> np.ndarray:
-    rev, tw = _pow2_plan(z.shape[1])
-    return kernels.fft_pow2(z, rev, tw)
-
-
-def _split_plan(n: int) -> tuple[int, int, np.ndarray]:
-    plan = _split_plans.get(n)
-    if plan is None:
-        m = n & (-n)  # largest power-of-two divisor
-        r = n // m
-        k = np.arange(n).reshape(r, m)  # k[c, k'] = c*m + k'
-        q = np.arange(r)
-        w = np.exp(-2j * np.pi * q[None, :, None] * k[:, None, :] / n)
-        plan = (m, r, np.ascontiguousarray(w.transpose(2, 0, 1)))  # (m, c, q)
-        _split_plans[n] = plan
-    return plan
-
-
-def _fft_split(z: np.ndarray) -> np.ndarray:
-    # decimation in time over the odd part r: X[c*m + k'] =
-    # sum_q w_n^(q*(c*m+k')) * FFT_m(x[q::r])[k']
-    rows = z.shape[0]
-    m, r, w = _split_plan(z.shape[1])
-    subs = np.ascontiguousarray(z.reshape(rows, m, r).transpose(0, 2, 1))
-    subs = _fft_pow2(subs.reshape(rows * r, m)).reshape(rows, r, m)
-    out = w @ np.ascontiguousarray(subs.transpose(2, 1, 0))  # (m, c, rows)
-    return np.ascontiguousarray(out.transpose(2, 1, 0)).reshape(rows, z.shape[1])
+    """Forward radix-2 FFT of each row of ``z`` (power-of-two length),
+    unnormalised.  Returns a new array."""
+    n = z.shape[1]
+    rev, tw = _pow2_plan(n)
+    z = z[:, rev]
+    m = 2
+    while m <= n:
+        half = m // 2
+        w = tw[0 : n // 2 : n // m]
+        z3 = z.reshape(z.shape[0], n // m, m)
+        t = z3[:, :, half:] * w
+        u = z3[:, :, :half]
+        z3[:, :, half:] = u - t
+        z3[:, :, :half] = u + t
+        m *= 2
+    return z
 
 
 def _bluestein_plan(n: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -96,9 +119,7 @@ def _bluestein_plan(n: int) -> tuple[np.ndarray, np.ndarray, int]:
         b = np.zeros(m, dtype=np.complex128)
         b[:n] = np.conj(a)
         b[m - n + 1 :] = np.conj(a[1:][::-1])
-        # plan transform always built on the numpy core: backend-independent plans
-        bfft = kernels._fft_pow2_numpy(b[None, :].copy(), *_pow2_plan(m))[0]
-        plan = (a, bfft, m)
+        plan = (a, _fft_pow2(b[None, :])[0], m)
         _bluestein_plans[n] = plan
     return plan
 
@@ -114,19 +135,14 @@ def _fft_bluestein(z: np.ndarray) -> np.ndarray:
     return conv[:, :n] * a
 
 
-def fft_rows(z: np.ndarray, inverse: bool = False) -> np.ndarray:
+def _fft(z: np.ndarray) -> np.ndarray:
     """Unnormalised complex DFT of each row of a (rows, n) complex array."""
-    if inverse:
-        return np.conj(fft_rows(np.conj(z)))
-    z = np.asarray(z, dtype=np.complex128)
-    n = z.shape[1]
-    if n == 1:
-        return z.copy()
-    if _is_pow2(n):
+    if _is_pow2(z.shape[1]):
         return _fft_pow2(z)
-    if n // (n & (-n)) <= _SPLIT_ODD_MAX:
-        return _fft_split(z)
     return _fft_bluestein(z)
+
+
+# --- public pair -----------------------------------------------------------------
 
 
 def rfft(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,13 +154,19 @@ def rfft(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[-1]
     if n < 2:
         raise ValueError(f"rfft needs length >= 2, got {n}")
-    flat = x.reshape(-1, n).astype(np.complex128)
-    spec = fft_rows(flat)[:, : half_bins(n)]
-    shape = x.shape[:-1] + (half_bins(n),)
-    re = np.ascontiguousarray(spec.real).reshape(shape)
-    im = np.ascontiguousarray(spec.imag).reshape(shape)
+    f = half_bins(n)
+    flat = x.reshape(-1, n)
+    if n <= _DENSE_MAX:
+        spec = flat @ _dense_plan(n)
+        re, im = spec[:, :f], spec[:, f:]
+    else:
+        spec = _fft(flat.astype(np.complex128))[:, :f]
+        re, im = spec.real, spec.imag
+    shape = x.shape[:-1] + (f,)
+    re = np.ascontiguousarray(re).reshape(shape)
+    im = np.ascontiguousarray(im).reshape(shape)
     # bin 0 (and Nyquist for even n) of a real signal is exactly real; the
-    # chirp-z path leaves rounding residue there, so pin it.
+    # rounding of sin(pi) and the chirp-z path leave residue there, so pin it.
     im[..., 0] = 0.0
     if n % 2 == 0:
         im[..., -1] = 0.0
@@ -155,7 +177,9 @@ def irfft(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`rfft`: real signal of length ``n`` along the last axis.
 
     Imaginary parts of the DC bin (and of the Nyquist bin for even ``n``) do
-    not contribute, matching the Hermitian-extension definition.
+    not contribute, matching the Hermitian-extension definition; they never
+    enter the arithmetic, so even a NaN or inf there leaves the output bits
+    unchanged.
     """
     re = np.asarray(re, dtype=np.float64)
     im = np.asarray(im, dtype=np.float64)
@@ -166,15 +190,23 @@ def irfft(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(
             f"spectrum has {re.shape[-1]} bins, inconsistent with output length {n}"
         )
-    spec = (re + 1j * im).reshape(-1, f)
-    full = np.empty((spec.shape[0], n), dtype=np.complex128)
-    full[:, :f] = spec
-    full[:, f:] = np.conj(spec[:, 1 : n - f + 1])[:, ::-1]
-    # non-contributing imaginary components must not even perturb rounding
-    full[:, 0] = spec[:, 0].real
-    if n % 2 == 0:
-        full[:, f - 1] = spec[:, f - 1].real
-    out = fft_rows(full, inverse=True).real / n
+    stop = (n + 1) // 2  # bins 1 .. stop-1 are interior: their imaginary parts count
+    re2, im2 = re.reshape(-1, f), im.reshape(-1, f)
+    if n <= _DENSE_MAX:
+        # columns: cos for every bin, then -sin for bins 0 .. stop-1; the DC
+        # column stays zero so that only interior imaginary parts are read
+        scale = half_weights(n) / n
+        spec = np.zeros((re2.shape[0], f + stop))
+        np.multiply(re2, scale, out=spec[:, :f])
+        np.multiply(im2[:, 1:stop], scale[1:stop], out=spec[:, f + 1 :])
+        out = spec @ _dense_plan(n)[:, : f + stop].T
+    else:
+        full = np.zeros((re2.shape[0], n), dtype=np.complex128)
+        full.real[:, :f] = re2
+        full.imag[:, 1:stop] = im2[:, 1:stop]
+        full[:, f:] = np.conj(full[:, 1:stop])[:, ::-1]
+        # inverse DFT = conj(DFT(conj(z))), and only the real part is kept
+        out = _fft(np.conj(full)).real / n
     return np.ascontiguousarray(out).reshape(re.shape[:-1] + (n,))
 
 

@@ -42,6 +42,22 @@ def run_train(tmp_path, base_cfg, *extra):
     return code, out
 
 
+def nan_checkpoint(tmp_path, base_cfg):
+    """A fresh model with one NaN in its output bias, saved with its run.cfg."""
+    from adamoge import checkpoint as ckpt
+    from adamoge import config as cfgmod
+    from adamoge.cli import build_model
+
+    cfg = cfgmod.parse_file(base_cfg)
+    store, _ = build_model(cfg, 2)
+    store["b0.ffn.b2"].value[0] = np.nan
+    out = tmp_path / "nan"
+    out.mkdir()
+    ckpt.save(str(out / "checkpoint.bin"), store, cfgmod.fingerprint(cfg))
+    (out / "run.cfg").write_text(cfgmod.render(cfg))
+    return str(out / "checkpoint.bin")
+
+
 class TestTrain:
     def test_smoke_writes_artifacts(self, tmp_path, base_cfg, capsys):
         code, out = run_train(tmp_path, base_cfg)
@@ -121,6 +137,26 @@ class TestEval:
             n += b.y.size
         assert abs(got - se / n) < 1e-6
 
+    def test_truncated_checkpoint_is_usage_error(self, tmp_path, base_cfg, capsys):
+        code, out = run_train(tmp_path, base_cfg)
+        path = os.path.join(out, "checkpoint.bin")
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:-12])  # cut inside the last array
+        capsys.readouterr()
+        code = main(["eval", path, "--out", str(tmp_path / "e4")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "truncated" in err and "Traceback" not in err
+
+    def test_nonfinite_metrics_exit_3_without_report(self, tmp_path, base_cfg, capsys):
+        path = nan_checkpoint(tmp_path, base_cfg)
+        code = main(["eval", path, "--out", str(tmp_path / "e5")])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "e5" / "report.json"))
+
 
 class TestPredict:
     def test_boundary_origins(self, tmp_path, base_cfg, capsys):
@@ -168,6 +204,13 @@ class TestPredict:
         for r in forecast:
             for cell in r[2:]:
                 assert abs(float(cell) - 42.5) < 1e-6
+
+    def test_nonfinite_forecast_exit_3_without_file(self, tmp_path, base_cfg, capsys):
+        path = nan_checkpoint(tmp_path, base_cfg)
+        code = main(["predict", path, "--origin", "100", "--out", str(tmp_path / "pn")])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "pn" / "forecast.csv"))
 
 
 class TestInspect:

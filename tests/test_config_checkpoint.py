@@ -108,7 +108,28 @@ class TestCheckpoint:
         store = self.make_store()
         path = tmp_path / "m.bin"
         ckpt.save(str(path), store, "fp")
-        path.write_bytes(path.read_bytes()[:-9])
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ckpt.CheckpointError):
+                ckpt.load(str(path))
+
+    @pytest.mark.parametrize("field", ["name_byte", "fingerprint_length", "dim_overflow"])
+    def test_corrupt_field_rejected(self, tmp_path, field):
+        store = self.make_store()
+        path = tmp_path / "m.bin"
+        ckpt.save(str(path), store, "fp")
+        blob = bytearray(path.read_bytes())
+        fp_len_at = len(ckpt.MAGIC)
+        first_name_at = fp_len_at + 4 + len("fp") + 4 + 4  # entry "w", rank 2
+        if field == "name_byte":
+            blob[first_name_at] = 0xFF
+        elif field == "fingerprint_length":
+            blob[fp_len_at : fp_len_at + 4] = b"\xff\xff\xff\xff"
+        else:  # 2**62 * 4 wraps a 64-bit product to zero
+            dims_at = first_name_at + 1 + 4
+            blob[dims_at : dims_at + 8] = (2**62).to_bytes(8, "little")
+        path.write_bytes(bytes(blob))
         with pytest.raises(ckpt.CheckpointError):
             ckpt.load(str(path))
 
@@ -120,3 +141,9 @@ class TestCheckpoint:
         other.add("w", np.zeros((3, 4)))
         with pytest.raises(ckpt.CheckpointError, match="does not match"):
             ckpt.load_into(path, other, "fp")
+        reshaped = ParameterStore()
+        reshaped.add("w", np.zeros((3, 4)))
+        reshaped.add("b", np.zeros(6))
+        reshaped.add("scalar", np.array(0.0))
+        with pytest.raises(ckpt.CheckpointError, match="does not match"):
+            ckpt.load_into(path, reshaped, "fp")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adamoge import fourier, kernels
+from adamoge import fourier
 
 from oracles import naive_half_spectrum, naive_irfft
 
@@ -24,7 +24,8 @@ class TestForward:
         assert np.allclose(re, [0.0, 0.0, 4.0], atol=1e-14)
         assert np.allclose(im, 0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, 12, 16, 96, 97])
+    # 1031 (prime) and 2048 lie above the dense-plan cap: Bluestein and radix-2
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 12, 16, 96, 97, 1031, 2048])
     def test_matches_naive_dft(self, n):
         rng = np.random.default_rng(100 + n)
         x = rng.uniform(-1, 1, size=n)
@@ -69,9 +70,22 @@ class TestInverse:
         with pytest.raises(ValueError):
             fourier.irfft(np.zeros(4), np.zeros(4), 4)
 
+    @pytest.mark.parametrize("n", [96, 97, 1031, 2048])
+    @pytest.mark.parametrize("junk", [np.nan, np.inf, -np.inf, 1e300])
+    def test_dc_and_nyquist_imaginary_parts_ignored(self, n, junk):
+        rng = np.random.default_rng(n)
+        re, im = rng.standard_normal((2, 3, fourier.half_bins(n)))
+        ignored = [0, -1] if n % 2 == 0 else [0]
+        im[:, ignored] = 0.0
+        want = fourier.irfft(re, im, n)
+        im[:, ignored] = junk
+        assert fourier.irfft(re, im, n).tobytes() == want.tobytes()
+
 
 class TestInvariants:
     @given(n=st.integers(min_value=2, max_value=512), seed=st.integers(0, 2**32 - 1))
+    @example(n=1031, seed=0)
+    @example(n=2048, seed=1)
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_identity(self, n, seed):
         x = np.random.default_rng(seed).uniform(-5, 5, size=n)
@@ -93,24 +107,3 @@ class TestInvariants:
         a = fourier.rfft(x)
         b = fourier.rfft(x)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
-class TestBackends:
-    def test_backends_agree(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((6, 96))
-        current = kernels.active_backend()
-        try:
-            kernels.set_backend("numpy")
-            a = fourier.rfft(x)
-            if kernels.HAVE_NUMBA:
-                kernels.set_backend("numba")
-                b = fourier.rfft(x)
-                assert np.allclose(a[0], b[0], atol=1e-12)
-                assert np.allclose(a[1], b[1], atol=1e-12)
-        finally:
-            kernels.set_backend(current)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")
