@@ -5,16 +5,10 @@ gradient buffer is real and finite-difference checks apply uniformly.  A
 :class:`Tape` records primitive applications in order; ``Tape.backward``
 replays their adjoints in reverse.  When no tape is active the same ops run
 value-only, which is the inference path.
-
-Threading contract: one tape is built and walked by a single thread (the
-active-tape stack is thread-local).  Separate tapes over separate batches may
-run concurrently; accumulation of gradients into a shared
-:class:`ParameterStore` must be serialised via ``store.lock``.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -89,15 +83,10 @@ class Parameter(Variable):
 
 
 class ParameterStore:
-    """Flat registry of uniquely named parameters.
-
-    Reads may be concurrent; writers (optimiser steps, checkpoint loads)
-    must hold ``self.lock``.
-    """
+    """Flat registry of uniquely named parameters."""
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
-        self.lock = threading.Lock()
 
     def add(self, name: str, value, trainable: bool = True) -> Parameter:
         if name in self._params:
@@ -135,14 +124,11 @@ class ParameterStore:
         return {name: p.value.copy() for name, p in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        with self.lock:
-            for name, arr in state.items():
-                p = self._params[name]
-                if p.value.shape != arr.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name!r}: {p.value.shape} vs {arr.shape}"
-                    )
-                p.value[...] = arr
+        for name, arr in state.items():
+            p = self._params[name]
+            if p.value.shape != arr.shape:
+                raise ValueError(f"shape mismatch for {name!r}: {p.value.shape} vs {arr.shape}")
+            p.value[...] = arr
 
 
 class _Node:
@@ -154,20 +140,8 @@ class _Node:
         self.bwd = bwd
 
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
-def _current_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+# active tapes, innermost last
+_TAPES: list["Tape"] = []
 
 
 class Tape:
@@ -177,22 +151,17 @@ class Tape:
         self._nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _tape_stack().pop()
+        _TAPES.pop()
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def backward(self, loss: Variable) -> None:
-        """Accumulate d(loss)/d(leaf) into every reachable Variable's .grad.
-
-        Single-threaded per tape.  When several tapes share one
-        ParameterStore across threads, callers must serialise their backward
-        passes (and optimiser steps) via ``store.lock``.
-        """
+        """Accumulate d(loss)/d(leaf) into every reachable Variable's .grad."""
         if loss.value.size != 1:
             raise ValueError("backward expects a scalar loss")
         loss.grad = np.ones_like(loss.value)
@@ -213,9 +182,8 @@ class Tape:
 
 
 def _record(inputs: Sequence[Variable], outputs: Sequence[Variable], bwd: Callable):
-    tape = _current_tape()
-    if tape is not None:
-        tape._nodes.append(_Node(tuple(inputs), tuple(outputs), bwd))
+    if _TAPES:
+        _TAPES[-1]._nodes.append(_Node(tuple(inputs), tuple(outputs), bwd))
 
 
 def as_variable(x) -> Variable:

@@ -9,11 +9,16 @@ Layout (all integers little-endian):
         u32   name length, then UTF-8 name
         u32   rank, then rank * u64 dims
         dims-product * f8 little-endian values (row-major)
+
+Checkpoints, and every file the CLI writes, go through :func:`atomic_open`,
+so a crash mid-write never leaves a half-written artifact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -27,8 +32,26 @@ class CheckpointError(ValueError):
     pass
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Write ``path`` through a temporary file beside it that replaces ``path``
+    only when the block completes.  If the block raises, the temporary file
+    is removed and ``path`` keeps its previous content (or stays absent).
+    Text mode is UTF-8 without newline translation."""
+    kwargs = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save(path: str, store: ParameterStore, fingerprint: str) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fp = fingerprint.encode("utf-8")
         fh.write(struct.pack("<I", len(fp)))

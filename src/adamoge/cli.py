@@ -109,9 +109,9 @@ def build_model(cfg: RunConfig, variables: int) -> tuple[ParameterStore, AdaMoGe
 
 
 def _write_report(out_dir: str, report: EvalReport) -> None:
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+    with ckpt.atomic_open(os.path.join(out_dir, "report.json")) as fh:
         fh.write(report.to_json() + "\n")
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
+    with ckpt.atomic_open(os.path.join(out_dir, "report.csv")) as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n" + report.csv_row() + "\n")
 
 
@@ -128,7 +128,7 @@ def cmd_train(args) -> int:
     if result.diverged:
         print("warning: training diverged; best finite parameters retained", file=sys.stderr)
     ckpt.save(os.path.join(out_dir, CHECKPOINT_NAME), store, fp)
-    with open(os.path.join(out_dir, CONFIG_NAME), "w", encoding="utf-8") as fh:
+    with ckpt.atomic_open(os.path.join(out_dir, CONFIG_NAME)) as fh:
         fh.write(cfgmod.render(cfg))
     _write_report(out_dir, result.report)
     print(result.report.to_json())
@@ -151,7 +151,7 @@ def _train_grid(cfg: RunConfig, ds, out_dir: str) -> int:
     result = grid_search(
         ds, cfg.train, build, fingerprint_for=lambda c: cfgmod.fingerprint(combo_config(c))
     )
-    with open(os.path.join(out_dir, "grid_summary.csv"), "w", encoding="utf-8") as fh:
+    with ckpt.atomic_open(os.path.join(out_dir, "grid_summary.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["e_max", "depth", "feature_dim", "val_mse", "params", "seconds", "epochs"])
         for e in result.entries:
@@ -163,7 +163,7 @@ def _train_grid(cfg: RunConfig, ds, out_dir: str) -> int:
     store, model = build_model(winner_cfg, ds.values.shape[1])
     store.load_state_dict(result.winner_state)
     ckpt.save(os.path.join(out_dir, CHECKPOINT_NAME), store, cfgmod.fingerprint(winner_cfg))
-    with open(os.path.join(out_dir, CONFIG_NAME), "w", encoding="utf-8") as fh:
+    with ckpt.atomic_open(os.path.join(out_dir, CONFIG_NAME)) as fh:
         fh.write(cfgmod.render(winner_cfg))
     _write_report(out_dir, result.winner_report)
     print(f"grid: {len(result.entries)} runs, winner {result.winner.combo} "
@@ -220,7 +220,7 @@ def cmd_predict(args) -> int:
     out_dir = cfg.output.dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "forecast.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with ckpt.atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "segment"] + ds.names)
         for i in range(lookback):
@@ -234,19 +234,19 @@ def cmd_predict(args) -> int:
 
 
 def _write_inspection(out_dir: str, diag: list[BlockDiagnostics], names) -> None:
-    with open(os.path.join(out_dir, "mu.csv"), "w", encoding="utf-8", newline="") as fh:
+    with ckpt.atomic_open(os.path.join(out_dir, "mu.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["block", "bin", "mu"])
         for bi, d in enumerate(diag):
             for f, v in enumerate(d.mu[0]):
                 writer.writerow([bi, f, repr(float(v))])
-    with open(os.path.join(out_dir, "intensity.csv"), "w", encoding="utf-8", newline="") as fh:
+    with ckpt.atomic_open(os.path.join(out_dir, "intensity.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["block", "variable", "name", "intensity"])
         for bi, d in enumerate(diag):
             for v, val in enumerate(d.e[0]):
                 writer.writerow([bi, v, names[v], repr(float(val))])
-    with open(os.path.join(out_dir, "filters.csv"), "w", encoding="utf-8", newline="") as fh:
+    with ckpt.atomic_open(os.path.join(out_dir, "filters.csv")) as fh:
         writer = csv.writer(fh)
         bins = diag[0].responses.shape[-1]
         writer.writerow(["block", "expert", "f1", "f2", "sigma", "selected"]
@@ -259,7 +259,7 @@ def _write_inspection(out_dir: str, diag: list[BlockDiagnostics], names) -> None
                      repr(float(d.sigmas[0, e])), int(e in selected)]
                     + [repr(float(h)) for h in d.responses[0, e]]
                 )
-    with open(os.path.join(out_dir, "gate.csv"), "w", encoding="utf-8", newline="") as fh:
+    with ckpt.atomic_open(os.path.join(out_dir, "gate.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["block", "k_hat", "k", "expert", "probability", "selected", "weight"])
         for bi, d in enumerate(diag):

@@ -76,13 +76,18 @@ def adaptive_sigma(
 
 
 @dataclass
-class FilterState:
-    """Snapshot of one filter's derived quantities (diagnostics)."""
+class BankPass:
+    """The Variables of one evaluation of the bank on a spectrum.
 
-    f1: float
-    f2: float
-    sigma0: float
-    alpha: float
+    For the truncation family f1/f2 are the fixed band edges and both sigmas
+    are zero, since its response has no bandwidth.
+    """
+
+    f1: Variable  # (E,) lower cutoffs
+    f2: Variable  # (E,) upper cutoffs
+    raw_sigma: Variable  # (B, E) adaptive bandwidth before the clamp
+    sigma: Variable  # (B, E) clamped bandwidth
+    h: Variable  # (B, E, F) responses at integer bins
 
 
 class FilterBank:
@@ -122,24 +127,21 @@ class FilterBank:
         self.mode = mode
         self.family = family
         self._freqs = np.arange(bins, dtype=np.float64)
+        # equal tiling of [0, f_nyq]: the initial Gaussian cutoffs and the
+        # fixed truncation bands
+        self._edges = np.linspace(0.0, self.f_nyq, e_max + 1)
         if family == "gaussian":
-            lo, hi = self._initial_cutoffs()
+            lo = self._edges[:-1].copy()
+            lo[0] = self.f_nyq * 1e-4  # the first lower cutoff sits just above 0
+            hi = self._edges[1:]
             self.a = store.add(f"{prefix}.a", logit(lo / self.f_nyq))
             self.b = store.add(f"{prefix}.b", logit((hi - lo) / (self.f_nyq - lo)))
         else:
             self.a = self.b = None
             self._masks = self._truncation_masks()
 
-    def _initial_cutoffs(self) -> tuple[np.ndarray, np.ndarray]:
-        # equal tiling of (0, f_nyq]; the first lower cutoff sits just above 0
-        edges = np.linspace(0.0, self.f_nyq, self.e_max + 1)
-        lo = edges[:-1].copy()
-        hi = edges[1:].copy()
-        lo[0] = self.f_nyq * 1e-4
-        return lo, hi
-
     def _truncation_masks(self) -> np.ndarray:
-        edges = np.linspace(0.0, self.f_nyq, self.e_max + 1)
+        edges = self._edges
         masks = np.zeros((self.e_max, self.bins))
         for e in range(self.e_max):
             inside = (self._freqs >= edges[e]) & (self._freqs < edges[e + 1])
@@ -149,67 +151,52 @@ class FilterBank:
         return masks
 
     def cutoffs(self) -> tuple[Variable, Variable]:
-        """(f1, f2) as (E,) variables with 0 < f1 < f2 < f_nyq."""
+        """(f1, f2) as (E,) variables with 0 < f1 < f2 < f_nyq; the fixed band
+        edges for the truncation family."""
+        if self.family == "truncation":
+            return Variable(self._edges[:-1]), Variable(self._edges[1:])
         f1 = _squash(self.a) * self.f_nyq
         f2 = f1 + (self.f_nyq - f1) * _squash(self.b)
         return f1, f2
 
-    def mean_power(self, spec: SpectrumBatch) -> Variable:
-        """Mean of |X|^2 over every bin of every variable, per sample: (B,)."""
-        power = ad.square(spec.re) + ad.square(spec.im)
-        return ad.vmean(power, axis=(1, 2))
+    def passbands(self) -> np.ndarray:
+        """(E, 2) array of current [f1, f2] in bin units."""
+        return np.stack([f.value for f in self.cutoffs()], axis=1)
 
-    def raw_bandwidths(self, spec: SpectrumBatch) -> Variable:
-        """Pre-clamp sigma sigma0 * alpha * mean|X|^2 / center, shape (B, E)."""
+    def evaluate(self, spec: SpectrumBatch) -> BankPass:
+        """Cutoffs, per-sample bandwidths and responses from one cutoffs() call.
+
+        sigma = clamp(sigma0 * alpha * mean|X|^2 / centre), the mean taken over
+        every bin of every variable of a sample.
+        """
+        if spec.bins != self.bins:
+            raise ValueError(f"spectrum has {spec.bins} bins, bank expects {self.bins}")
+        b = spec.batch
         f1, f2 = self.cutoffs()
-        center = (f1 + f2) * 0.5
-        mp = ad.reshape(self.mean_power(spec), (-1, 1))
-        return mp * (self.sigma0 * self.alpha) / ad.reshape(center, (1, -1))
-
-    def bandwidths(self, spec: SpectrumBatch) -> Variable:
-        """Per-sample, per-filter clamped sigma, shape (B, E)."""
-        return ad.clamp(self.raw_bandwidths(spec), self.sigma_min, self.sigma_max)
-
-    def responses(self, spec: SpectrumBatch) -> Variable:
-        """Filter responses at integer bins for each sample, shape (B, E, F)."""
         if self.family == "truncation":
-            b = spec.batch
-            return Variable(np.broadcast_to(self._masks, (b, self.e_max, self.bins)).copy())
-        f1, f2 = self.cutoffs()
-        center = ad.reshape((f1 + f2) * 0.5, (1, -1, 1))
+            zeros = Variable(np.zeros((b, self.e_max)))
+            h = Variable(np.broadcast_to(self._masks, (b, self.e_max, self.bins)).copy())
+            return BankPass(f1, f2, zeros, zeros, h)
+        center = (f1 + f2) * 0.5
+        power = ad.square(spec.re) + ad.square(spec.im)
+        mp = ad.reshape(ad.vmean(power, axis=(1, 2)), (-1, 1))
+        raw = mp * (self.sigma0 * self.alpha) / ad.reshape(center, (1, -1))
+        sigma = ad.clamp(raw, self.sigma_min, self.sigma_max)
         half = ad.reshape((f2 - f1) * 0.5, (1, -1, 1))
-        sigma = ad.reshape(self.bandwidths(spec), (spec.batch, self.e_max, 1))
-        d = Variable(self._freqs.reshape(1, 1, -1)) - center
-        lo = (d + half) / sigma
-        hi = (d - half) / sigma
+        d = Variable(self._freqs.reshape(1, 1, -1)) - ad.reshape(center, (1, -1, 1))
+        s = ad.reshape(sigma, (b, self.e_max, 1))
+        lo = (d + half) / s
+        hi = (d - half) / s
         h = ad.exp(ad.square(lo) * -0.5) - ad.exp(ad.square(hi) * -0.5)
         if self.mode == "abs-dog":
             h = ad.absval(h)
-        return h
+        return BankPass(f1, f2, raw, sigma, h)
 
-    def apply(self, spec: SpectrumBatch) -> tuple[Variable, Variable]:
-        """Sub-band spectra (B, E, V, F): input spectrum times each response."""
-        if spec.bins != self.bins:
-            raise ValueError(f"spectrum has {spec.bins} bins, bank expects {self.bins}")
-        h = self.responses(spec)
-        hexp = ad.reshape(h, (spec.batch, self.e_max, 1, self.bins))
+    def apply(self, spec: SpectrumBatch) -> tuple[Variable, Variable, BankPass]:
+        """Sub-band spectra (B, E, V, F), the input spectrum times each
+        response, and the bank pass that produced the responses."""
+        bp = self.evaluate(spec)
+        hexp = ad.reshape(bp.h, (spec.batch, self.e_max, 1, self.bins))
         xre = ad.reshape(spec.re, (spec.batch, 1, spec.variables, self.bins))
         xim = ad.reshape(spec.im, (spec.batch, 1, spec.variables, self.bins))
-        return xre * hexp, xim * hexp
-
-    def snapshot(self) -> list[FilterState]:
-        if self.family == "truncation":
-            edges = np.linspace(0.0, self.f_nyq, self.e_max + 1)
-            return [
-                FilterState(edges[e], edges[e + 1], self.sigma0, self.alpha)
-                for e in range(self.e_max)
-            ]
-        f1, f2 = self.cutoffs()
-        return [
-            FilterState(f1.value[e], f2.value[e], self.sigma0, self.alpha)
-            for e in range(self.e_max)
-        ]
-
-    def passbands(self) -> np.ndarray:
-        """(E, 2) array of current [f1, f2] in bin units."""
-        return np.array([[s.f1, s.f2] for s in self.snapshot()])
+        return xre * hexp, xim * hexp, bp

@@ -190,15 +190,13 @@ class AdaMoGeBlock:
         spec = spectrum_of(x)
         summary = summarize(spec)
         decision, k_hat, probs = self.gate_decision(summary.chi)
-        sub_re, sub_im = self.bank.apply(spec)
+        sub_re, sub_im, bp = self.bank.apply(spec)
         expert_out = self.experts_forward(sub_re, sub_im)
         mixed = ad.masked_weighted_sum(expert_out, decision.weights, decision.mask)
         if k_hat is not None:
             st = straight_through_scale(k_hat, decision.k)
             mixed = mixed * ad.reshape(st, (-1, 1, 1))
         if diag is not None:
-            gaussian = self.bank.family == "gaussian"
-            zeros = np.zeros((x.value.shape[0], self.e_max))
             diag.append(
                 BlockDiagnostics(
                     mu=summary.mu.value.copy(),
@@ -206,10 +204,10 @@ class AdaMoGeBlock:
                     probabilities=probs.value.copy(),
                     decision=decision,
                     k_hat=None if k_hat is None else k_hat.value.copy(),
-                    passbands=self.bank.passbands(),
-                    sigmas=self.bank.bandwidths(spec).value.copy() if gaussian else zeros,
-                    raw_sigmas=self.bank.raw_bandwidths(spec).value.copy() if gaussian else zeros,
-                    responses=self.bank.responses(spec).value.copy(),
+                    passbands=np.stack([bp.f1.value, bp.f2.value], axis=1),
+                    sigmas=bp.sigma.value.copy(),
+                    raw_sigmas=bp.raw_sigma.value.copy(),
+                    responses=bp.h.value.copy(),
                 )
             )
         if self.residual:

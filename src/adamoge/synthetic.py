@@ -55,7 +55,6 @@ def load_like_table(rows: int = 17420, variables: int = 7, seed: int = 0) -> Ser
     ETT pipeline when the public benchmark file is unavailable."""
     rng = np.random.default_rng(seed)
     t = np.arange(rows, dtype=np.float64)
-    daily = np.sin(2 * np.pi * t / 24.0)
     half_day = np.sin(4 * np.pi * t / 24.0 + 0.7)
     weekly = np.sin(2 * np.pi * t / 168.0 + 1.3)
     base = np.zeros((rows, variables))

@@ -64,20 +64,19 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        with self.store.lock:
-            for p in self.store.trainable():
-                g = p.grad
-                if not np.all(np.isfinite(g)):
-                    raise NumericError(f"non-finite gradient in parameter {p.name!r}")
-                m = self._m[p.name]
-                v = self._v[p.name]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * (g * g)
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-                p.value -= lr * update
-            self.store.zero_grads()
+        for p in self.store.trainable():
+            g = p.grad
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient in parameter {p.name!r}")
+            m = self._m[p.name]
+            v = self._v[p.name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.value -= lr * update
+        self.store.zero_grads()
 
 
 @dataclass
@@ -283,25 +282,23 @@ def grid_search(ds: Dataset, tc: TrainConfig, build_model, fingerprint_for=None)
     ``fingerprint_for`` (optional) maps a combo to its config fingerprint.
     """
     tc.validate()
-    entries: list[tuple[GridEntry, FitResult, AdaMoGeModel]] = []
+    entries: list[GridEntry] = []
+    best_entry = best_model = best_result = None
     for combo in grid_combinations(tc):
-        _, model = build_model(combo)
+        model = build_model(combo)[1]
         result = fit(model, ds, tc, compute_test=False)
-        entries.append(
-            (
-                GridEntry(
-                    combo=combo,
-                    val_mse=result.best_val_mse,
-                    params=model.parameter_count(),
-                    seconds=result.report.seconds,
-                    epochs_run=result.epochs_run,
-                ),
-                result,
-                model,
-            )
+        entry = GridEntry(
+            combo=combo,
+            val_mse=result.best_val_mse,
+            params=model.parameter_count(),
+            seconds=result.report.seconds,
+            epochs_run=result.epochs_run,
         )
-    entries.sort(key=lambda item: item[0].val_mse)
-    best_entry, best_result, best_model = entries[0]
+        entries.append(entry)
+        # strict: a tie keeps the earlier combination
+        if best_entry is None or entry.val_mse < best_entry.val_mse:
+            best_entry, best_model, best_result = entry, model, result
+        del model, result  # only the running best stays alive
     best_model.store.load_state_dict(best_result.best_state)
     test_mse, test_mae = evaluate(best_model, ds, ds.split.test, tc.batch_size)
     fingerprint = fingerprint_for(best_entry.combo) if fingerprint_for else ""
@@ -311,11 +308,11 @@ def grid_search(ds: Dataset, tc: TrainConfig, build_model, fingerprint_for=None)
         mse=test_mse,
         mae=test_mae,
         params=best_entry.params,
-        seconds=sum(e.seconds for e, _, _ in entries),
+        seconds=sum(e.seconds for e in entries),
         fingerprint=fingerprint,
     )
     return GridResult(
-        entries=[e for e, _, _ in entries],
+        entries=sorted(entries, key=lambda e: e.val_mse),
         winner=best_entry,
         winner_report=winner_report,
         winner_state=best_result.best_state,

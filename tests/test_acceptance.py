@@ -146,7 +146,7 @@ def test_criterion_4_filter_properties():
         for _ in range(100):
             store.zero_grads()
             with Tape() as tape:
-                h = bank.responses(spectrum_of(Variable(x)))
+                h = bank.evaluate(spectrum_of(Variable(x))).h
                 loss = ad.vmean(ad.square(h - target))
                 tape.backward(loss)
             opt.step(1e-2)
@@ -155,7 +155,7 @@ def test_criterion_4_filter_properties():
         f1v, f2v = f1.value, f2.value
         assert np.all(f1v < f2v) and np.all(f1v > 0.0), "cutoff ordering broke"
 
-        sigma = bank.bandwidths(spectrum_of(Variable(x))).value
+        sigma = bank.evaluate(spectrum_of(Variable(x))).sigma.value
         assert np.all(sigma >= bank.sigma_min) and np.all(sigma <= bank.sigma_max)
 
         mid = (f1v + f2v) / 2.0

@@ -212,6 +212,35 @@ class TestPredict:
         assert "non-finite" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "pn" / "forecast.csv"))
 
+    def test_failed_rewrite_keeps_previous_forecast(self, tmp_path, base_cfg, capsys, monkeypatch):
+        from adamoge import cli
+
+        code, out = run_train(tmp_path, base_cfg)
+        args = ["predict", os.path.join(out, "checkpoint.bin"), "--origin", "100",
+                "--out", str(tmp_path / "p")]
+        assert main(args) == 0
+        path = tmp_path / "p" / "forecast.csv"
+        before = path.read_bytes()
+
+        real_writer = csv.writer
+
+        class FailingWriter:
+            def __init__(self, fh):
+                self.writer = real_writer(fh)
+                self.rows = 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 5:
+                    raise RuntimeError("disk full")
+                self.writer.writerow(row)
+
+        monkeypatch.setattr(cli.csv, "writer", FailingWriter)
+        with pytest.raises(RuntimeError, match="disk full"):
+            main(args[:3] + ["101"] + args[4:])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path / "p") == ["forecast.csv"]
+
 
 class TestInspect:
     def test_dominant_bin_selected_for_pure_tone(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,32 @@ class TestCheckpoint:
         with pytest.raises(ckpt.CheckpointError, match="fingerprint"):
             ckpt.load_into(path, store, "fp-b")
         ckpt.load_into(path, store, "fp-b", allow_mismatch=True)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.bin"
+        ckpt.save(str(path), self.make_store(), "fp")
+        before = path.read_bytes()
+        broken = self.make_store()
+        broken.add("\ud800", np.zeros(2))  # a lone surrogate has no UTF-8 form
+        with pytest.raises(UnicodeEncodeError):
+            ckpt.save(str(path), broken, "fp2")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.bin"]
+
+    def test_atomic_open_failure_midway(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(RuntimeError):
+            with ckpt.atomic_open(str(path)) as fh:
+                fh.write("{")
+                raise RuntimeError("midway")
+        assert os.listdir(tmp_path) == []
+        path.write_text('{"mse": 1.0}\n')
+        with pytest.raises(RuntimeError):
+            with ckpt.atomic_open(str(path)) as fh:
+                fh.write('{"mse": ')
+                raise RuntimeError("midway")
+        assert path.read_bytes() == b'{"mse": 1.0}\n'
+        assert os.listdir(tmp_path) == ["report.json"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

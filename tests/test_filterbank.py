@@ -79,7 +79,7 @@ class TestAdaptiveSigma:
         store, bank = make_bank(e_max=4, bins=9)
         for scale in (1e-6, 1.0, 1e3):
             spec = random_spectrum(rng, scale=scale)
-            sig = bank.bandwidths(spec).value
+            sig = bank.evaluate(spec).sigma.value
             assert np.all(sig >= bank.sigma_min) and np.all(sig <= bank.sigma_max)
 
 
@@ -126,7 +126,7 @@ class TestApply:
         rng = np.random.default_rng(4)
         _, bank = make_bank(e_max=1, bins=9, family="truncation")
         spec = random_spectrum(rng)
-        sre, sim = bank.apply(spec)
+        sre, sim, _ = bank.apply(spec)
         assert np.array_equal(sre.value[:, 0], spec.re.value)
         assert np.array_equal(sim.value[:, 0], spec.im.value)
 
@@ -135,15 +135,15 @@ class TestApply:
         _, bank = make_bank(e_max=2, bins=9, family="truncation")
         bank._masks[...] = 0.0
         spec = random_spectrum(rng)
-        sre, sim = bank.apply(spec)
+        sre, sim, _ = bank.apply(spec)
         assert np.all(sre.value == 0.0) and np.all(sim.value == 0.0)
 
     def test_matches_per_bin_oracle(self):
         rng = np.random.default_rng(6)
         store, bank = make_bank(e_max=1, bins=9)
         spec = random_spectrum(rng, b=1, l=16, v=1)
-        sre, sim = bank.apply(spec)
-        h = bank.responses(spec).value
+        sre, sim, bp = bank.apply(spec)
+        h = bp.h.value
         for f in range(9):
             assert abs(sre.value[0, 0, 0, f] - spec.re.value[0, 0, f] * h[0, 0, f]) < 1e-12
             assert abs(sim.value[0, 0, 0, f] - spec.im.value[0, 0, f] * h[0, 0, f]) < 1e-12
@@ -158,9 +158,9 @@ class TestApply:
         rng = np.random.default_rng(8)
         store, bank = make_bank(e_max=3, bins=9)
         spec = random_spectrum(rng, scale=0.4)
-        h = bank.responses(spec).value
+        h = bank.evaluate(spec).h.value
         bands = bank.passbands()
-        sig = bank.bandwidths(spec).value
+        sig = bank.evaluate(spec).sigma.value
         for b in range(spec.batch):
             want = fb.dog_response(
                 bands[:, 0], bands[:, 1], sig[b], np.arange(9.0)
@@ -173,8 +173,8 @@ class TestApply:
         store2 = ParameterStore()
         bank2 = fb.FilterBank(store2, "bank", e_max=3, bins=9, mode="abs-dog")
         spec = random_spectrum(rng)
-        h1 = bank.responses(spec).value
-        h2 = bank2.responses(spec).value
+        h1 = bank.evaluate(spec).h.value
+        h2 = bank2.evaluate(spec).h.value
         assert np.allclose(np.abs(h1), h2, atol=1e-15)
 
 
@@ -186,11 +186,11 @@ class TestGradients:
 
         def build(s):
             spec = spectrum_of(s["x"])
-            sre, sim = bank.apply(spec)
+            sre, sim, _ = bank.apply(spec)
             return ad.vsum(ad.square(sre)) + ad.vsum(ad.square(sim))
 
         # verify sigma sits strictly inside the clamp so the check is smooth
-        sig = bank.bandwidths(spectrum_of(store["x"])).value
+        sig = bank.evaluate(spectrum_of(store["x"])).sigma.value
         assert np.all(sig > bank.sigma_min + 1e-3)
         assert np.all(sig < bank.sigma_max - 1e-3)
         err = ad.grad_check(build, store)
@@ -205,7 +205,7 @@ class TestGradients:
         for _ in range(100):
             store.zero_grads()
             with ad.Tape() as tape:
-                h = bank.responses(spectrum_of(Variable(x)))
+                h = bank.evaluate(spectrum_of(Variable(x))).h
                 loss = ad.vmean(ad.square(h - target))
                 tape.backward(loss)
             for p in store.trainable():

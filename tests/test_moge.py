@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adamoge import autodiff as ad
+from adamoge import filterbank as fb
 from adamoge import moge
 from adamoge.autodiff import ParameterStore, Variable
 from adamoge.moge import AdaMoGeModel, ModelConfig
@@ -242,8 +243,8 @@ class TestForward:
         from adamoge.spectral import spectrum_of
 
         spec = spectrum_of(Variable(x))
-        sub = block.bank.apply(spec)
-        per_expert = block.experts_forward(*sub).value
+        sre, sim, _ = block.bank.apply(spec)
+        per_expert = block.experts_forward(sre, sim).value
         want = per_expert.mean(axis=1).transpose(0, 1, 2)
         got = model.predict(x)
         assert np.max(np.abs(got - want)) < 1e-9
@@ -300,6 +301,70 @@ class TestForward:
         store, model = build_model()
         with pytest.raises(ValueError):
             model.predict(np.zeros((1, 12, 2)))
+
+
+def separate_bank_evaluation(bank, spec):
+    """(passbands, raw sigmas, sigmas, responses) from the bank's cutoffs and
+    the numpy filter formulas, in the arithmetic order of the forward."""
+    bands = bank.passbands()
+    if bank.family == "truncation":
+        zeros = np.zeros((spec.batch, bank.e_max))
+        return bands, zeros, zeros, np.broadcast_to(bank._masks, (spec.batch,) + bank._masks.shape)
+    re, im = spec.re.value, spec.im.value
+    mp = (re * re + im * im).sum(axis=(1, 2)) * (1.0 / (re.shape[1] * re.shape[2]))
+    center = (bands[:, 0] + bands[:, 1]) * 0.5
+    raw = mp[:, None] * (bank.sigma0 * bank.alpha) / center[None, :]
+    sigma = np.clip(raw, bank.sigma_min, bank.sigma_max)
+    h = np.stack([fb.dog_response(bands[:, 0], bands[:, 1], sig, np.arange(float(bank.bins)))
+                  for sig in sigma])
+    if bank.mode == "abs-dog":
+        h = np.abs(h)
+    return bands, raw, sigma, h
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("with_diag", [False, True])
+    @pytest.mark.parametrize("kw", [{}, {"filter_mode": "abs-dog"},
+                                    {"filter_family": "truncation", "adaptive_k": False}])
+    def test_one_cutoffs_call_per_block_and_fields_match(self, monkeypatch, depth, with_diag, kw):
+        store, model = build_model(lookback=16, horizon=8, depth=depth, e_max=4, **kw)
+        x = np.random.default_rng(30).standard_normal((3, 16, 2))
+        calls, specs = [], []
+        cutoffs, spectrum_of = fb.FilterBank.cutoffs, moge.spectrum_of
+
+        def counted_cutoffs(bank):
+            calls.append(bank)
+            return cutoffs(bank)
+
+        def recorded_spectrum_of(v):
+            specs.append(spectrum_of(v))
+            return specs[-1]
+
+        monkeypatch.setattr(fb.FilterBank, "cutoffs", counted_cutoffs)
+        monkeypatch.setattr(moge, "spectrum_of", recorded_spectrum_of)
+        diag = [] if with_diag else None
+        model.forward(Variable(x), diag)
+        assert calls == [block.bank for block in model.blocks]
+        if not with_diag:
+            return
+        assert len(diag) == depth
+        for d, block, spec in zip(diag, model.blocks, specs):
+            bands, raw, sigma, h = separate_bank_evaluation(block.bank, spec)
+            assert np.array_equal(d.passbands, bands)
+            assert np.array_equal(d.raw_sigmas, raw)
+            assert np.array_equal(d.sigmas, sigma)
+            assert np.array_equal(d.responses, h)
+            summary = moge.summarize(spec)
+            decision, k_hat, probs = block.gate_decision(summary.chi)
+            assert np.array_equal(d.mu, summary.mu.value)
+            assert np.array_equal(d.e, summary.e.value)
+            assert np.array_equal(d.probabilities, probs.value)
+            assert np.array_equal(d.decision.mask, decision.mask)
+            assert np.array_equal(d.decision.weights.value, decision.weights.value)
+            assert (d.k_hat is None) == (k_hat is None)
+            if k_hat is not None:
+                assert np.array_equal(d.k_hat, k_hat.value)
 
 
 class TestParameterCount:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +263,35 @@ class TestGrid:
         assert gr.entries[0].val_mse < gr.entries[1].val_mse
         # only the winner carries test metrics
         assert np.isfinite(gr.winner_report.mse)
+
+    def test_only_the_winning_model_outlives_the_sweep(self, monkeypatch):
+        ds = tiny_dataset()
+        tc = TrainConfig(epochs=1, batch_size=64, seed=8,
+                         grid_e_max=(1, 2, 3), grid_depth=(1, 2), grid_feature_dim=(8,))
+        refs, alive_at_build = [], []
+
+        def build(combo):
+            gc.collect()
+            alive_at_build.append(sum(r() is not None for r in refs))
+            store, model = tiny_model(ds, seed=8, e_max=combo["e_max"], depth=combo["depth"])
+            refs.append(weakref.ref(model))
+            return store, model
+
+        evaluate = training.evaluate
+        seen = []
+
+        def spy(model, ds_, row_range, *a, **kw):
+            if row_range == ds.split.test:  # the search is over: only the winner is tested
+                gc.collect()
+                seen.append([i for i, r in enumerate(refs) if r() is not None])
+                seen.append([i for i, r in enumerate(refs) if r() is model])
+            return evaluate(model, ds_, row_range, *a, **kw)
+
+        monkeypatch.setattr(training, "evaluate", spy)
+        gr = grid_search(ds, tc, build)
+        winner = grid_combinations(tc).index(gr.winner.combo)
+        assert seen == [[winner], [winner]]
+        assert alive_at_build == [0, 1, 1, 1, 1, 1]  # the running best only
 
 
 class TestReport:
