@@ -1,7 +1,8 @@
 """Minimal dense-array reverse-mode differentiation on float64 numpy arrays.
 
-Complex quantities are carried as (re, im) pairs of real variables, so every
-gradient buffer is real and finite-difference checks apply uniformly.  A
+Complex quantities are carried as real variables, either as (re, im) pairs
+or as one array packed ``[re | im]`` along its last axis, so every gradient
+buffer is real and finite-difference checks apply uniformly.  A
 :class:`Tape` records primitive applications in order; ``Tape.backward``
 replays their adjoints in reverse.  When no tape is active the same ops run
 value-only, which is the inference path.
@@ -428,11 +429,12 @@ def magnitude(re, im) -> Variable:
     return out
 
 
-def complex_expert_map(xre, xim, wre, wim, bre, bim) -> tuple[Variable, Variable]:
+def complex_expert_map(xre, xim, wre, wim, bre, bim) -> Variable:
     """Per-expert complex affine map on stacked sub-band spectra.
 
     x: (B, E, V, F) pair, w: (E, O, F) pair, b: (E, O) pair
-    -> y: (B, E, V, O) pair with y[b,e,v] = w[e] @ x[b,e,v] + b[e].
+    -> y: (B, E, V, 2*O) with y[b,e,v] = w[e] @ x[b,e,v] + b[e], packed
+    ``[re | im]`` along the last axis.
     """
     xre, xim = as_variable(xre), as_variable(xim)
     wre, wim = as_variable(wre), as_variable(wim)
@@ -442,15 +444,16 @@ def complex_expert_map(xre, xim, wre, wim, bre, bim) -> tuple[Variable, Variable
     x = xre.value + 1j * xim.value
     w = wre.value + 1j * wim.value
     bias = bre.value + 1j * bim.value
-    y = np.empty((bdim, edim, vdim, odim), dtype=np.complex128)
+    y = np.empty((bdim, edim, vdim, 2 * odim))
     for e in range(edim):
-        y[:, e] = (x[:, e].reshape(-1, fdim) @ w[e].T).reshape(bdim, vdim, odim)
-        y[:, e] += bias[e]
-    out_re = Variable(np.ascontiguousarray(y.real))
-    out_im = Variable(np.ascontiguousarray(y.imag))
+        ye = (x[:, e].reshape(-1, fdim) @ w[e].T).reshape(bdim, vdim, odim) + bias[e]
+        y[:, e, :, :odim] = ye.real
+        y[:, e, :, odim:] = ye.imag
+    out = Variable(y)
 
-    def bwd(gre, gim):
-        g = gre + 1j * gim
+    def bwd(gy):
+        g = np.empty((bdim, edim, vdim, odim), dtype=np.complex128)
+        g.real, g.imag = gy[..., :odim], gy[..., odim:]
         gx = np.empty_like(x)
         gw = np.empty_like(w)
         for e in range(edim):
@@ -467,8 +470,8 @@ def complex_expert_map(xre, xim, wre, wim, bre, bim) -> tuple[Variable, Variable
             np.ascontiguousarray(gb.imag),
         )
 
-    _record((xre, xim, wre, wim, bre, bim), (out_re, out_im), bwd)
-    return out_re, out_im
+    _record((xre, xim, wre, wim, bre, bim), (out,), bwd)
+    return out
 
 
 # --- FFT primitives -----------------------------------------------------------
@@ -490,16 +493,22 @@ def rfft_op(x) -> tuple[Variable, Variable]:
     return out_re, out_im
 
 
-def irfft_op(re, im, n: int) -> Variable:
-    re, im = as_variable(re), as_variable(im)
-    out = Variable(fourier.irfft(re.value, im.value, n))
+def irfft_op(spec, n: int) -> Variable:
+    """Length-``n`` inverse transform along the last axis of a half spectrum
+    packed ``[re | im]`` (2 * (n//2 + 1) values per row)."""
+    spec = as_variable(spec)
+    f = fourier.half_bins(n)
+    out = Variable(fourier.irfft(spec.value[..., :f], spec.value[..., f:], n))
     w = fourier.half_weights(n) / n
 
     def bwd(g):
         gre, gim = fourier.rfft(g)
-        return gre * w, gim * w
+        gs = np.empty_like(spec.value)
+        np.multiply(gre, w, out=gs[..., :f])
+        np.multiply(gim, w, out=gs[..., f:])
+        return (gs,)
 
-    _record((re, im), (out,), bwd)
+    _record((spec,), (out,), bwd)
     return out
 
 

@@ -115,11 +115,18 @@ def _write_report(out_dir: str, report: EvalReport) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n" + report.csv_row() + "\n")
 
 
+def _require_finite(report: EvalReport) -> None:
+    """Refuse to write anything for a model whose test metrics are non-finite."""
+    if not np.isfinite([report.mse, report.mae]).all():
+        raise NumericError(
+            f"non-finite test metrics (mse={report.mse}, mae={report.mae}); nothing written"
+        )
+
+
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     ds = load_dataset(cfg)
     out_dir = cfg.output.dir
-    os.makedirs(out_dir, exist_ok=True)
     if args.grid:
         return _train_grid(cfg, ds, out_dir)
     store, model = build_model(cfg, ds.values.shape[1])
@@ -127,6 +134,8 @@ def cmd_train(args) -> int:
     result = fit(model, ds, cfg.train, fingerprint=fp, log=lambda msg: print(msg))
     if result.diverged:
         print("warning: training diverged; best finite parameters retained", file=sys.stderr)
+    _require_finite(result.report)
+    os.makedirs(out_dir, exist_ok=True)
     ckpt.save(os.path.join(out_dir, CHECKPOINT_NAME), store, fp)
     with ckpt.atomic_open(os.path.join(out_dir, CONFIG_NAME)) as fh:
         fh.write(cfgmod.render(cfg))
@@ -151,6 +160,8 @@ def _train_grid(cfg: RunConfig, ds, out_dir: str) -> int:
     result = grid_search(
         ds, cfg.train, build, fingerprint_for=lambda c: cfgmod.fingerprint(combo_config(c))
     )
+    _require_finite(result.winner_report)
+    os.makedirs(out_dir, exist_ok=True)
     with ckpt.atomic_open(os.path.join(out_dir, "grid_summary.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["e_max", "depth", "feature_dim", "val_mse", "params", "seconds", "epochs"])
@@ -189,12 +200,11 @@ def _restore(args) -> tuple[RunConfig, datamod.Dataset, AdaMoGeModel, str]:
 def cmd_eval(args) -> int:
     cfg, ds, model, fp = _restore(args)
     mse, mae = evaluate(model, ds, ds.split.test, cfg.train.batch_size)
-    if not np.isfinite([mse, mae]).all():
-        raise NumericError(f"non-finite test metrics (mse={mse}, mae={mae}); no report written")
     report = EvalReport(
         dataset=ds.name, horizon=model.horizon, mse=mse, mae=mae,
         params=model.parameter_count(), seconds=0.0, fingerprint=fp,
     )
+    _require_finite(report)
     out_dir = cfg.output.dir
     os.makedirs(out_dir, exist_ok=True)
     _write_report(out_dir, report)

@@ -12,6 +12,7 @@ metrics live on the normalised scale.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -100,7 +101,7 @@ def load_csv(path: str) -> SeriesTable:
                         f"line {line_no}, column {col} ({names[col - 2]}): "
                         f"non-numeric cell {cell!r}"
                     ) from None
-                if not np.isfinite(val):
+                if not math.isfinite(val):
                     raise DataError(
                         f"line {line_no}, column {col} ({names[col - 2]}): "
                         f"missing/non-finite value"

@@ -5,9 +5,12 @@ Per input window the layer (a) summarises the spectrum into gate features,
 straight-through rounding), (c) scores all experts with a softmax gating
 network and keeps the top K with renormalised weights, (d) runs each kept
 expert, a complex affine map shared across variables, on its band-passed
-sub-spectrum, and (e) mixes the expert forecasts.  Experts outside the
-selection are hard-masked: their values never reach the output and they
-receive no gradient.
+sub-spectrum, and (e) mixes the experts' output spectra with the gate
+weights and inverts the mixture once per (sample, variable); the inverse
+transform is linear, so this equals mixing the experts' time-domain
+forecasts.  Experts outside the selection are hard-masked: the mix writes
+literal zeros in their place, so their values never reach the output, and
+they receive no gradient.
 
 Depth > 1 stacks length-preserving blocks (band mixing plus a residual
 pointwise feed-forward over the time axis); the final block maps the
@@ -172,12 +175,9 @@ class AdaMoGeBlock:
         return select_topk(p, k), k_hat, p
 
     def experts_forward(self, sub_re: Variable, sub_im: Variable) -> Variable:
-        """All experts on their sub-bands -> time domain, shape (B, E, H, V)."""
-        yre, yim = ad.complex_expert_map(
-            sub_re, sub_im, self.ewre, self.ewim, self.ebre, self.ebim
-        )
-        yt = ad.irfft_op(yre, yim, self.out_len) * (self.out_len / self.in_len)
-        return ad.transpose(yt, (0, 1, 3, 2))
+        """All experts on their sub-bands -> output half spectra, shape
+        (B, E, V, 2 * out_bins), packed ``[re | im]``; not yet inverted."""
+        return ad.complex_expert_map(sub_re, sub_im, self.ewre, self.ewim, self.ebre, self.ebim)
 
     def _ffn(self, y: Variable) -> Variable:
         b, t, v = y.value.shape
@@ -191,11 +191,16 @@ class AdaMoGeBlock:
         summary = summarize(spec)
         decision, k_hat, probs = self.gate_decision(summary.chi)
         sub_re, sub_im, bp = self.bank.apply(spec)
-        expert_out = self.experts_forward(sub_re, sub_im)
-        mixed = ad.masked_weighted_sum(expert_out, decision.weights, decision.mask)
+        expert_spec = self.experts_forward(sub_re, sub_im)
+        # the inverse transform is linear, so the gate mixes the spectra and
+        # each (B, V) row is inverted once
+        spec_mix = ad.masked_weighted_sum(expert_spec, decision.weights, decision.mask)
+        gain = self.out_len / self.in_len
         if k_hat is not None:
             st = straight_through_scale(k_hat, decision.k)
-            mixed = mixed * ad.reshape(st, (-1, 1, 1))
+            gain = ad.reshape(st * gain, (-1, 1, 1))
+        yt = ad.irfft_op(spec_mix * gain, self.out_len)
+        mixed = ad.transpose(yt, (0, 2, 1))
         if diag is not None:
             diag.append(
                 BlockDiagnostics(

@@ -70,6 +70,26 @@ class TestTrain:
         assert report["dataset"] == "synth"
         assert np.isfinite(report["mse"])
 
+    @pytest.mark.parametrize("grid", [[], ["--grid", "--override", "train.grid.e_max=2,3",
+                                           "--override", "train.grid.depth=1",
+                                           "--override", "train.grid.feature_dim=8"]])
+    def test_nonfinite_test_metrics_exit_3_without_artifacts(self, tmp_path, base_cfg, capsys,
+                                                             grid):
+        # a finite but huge target in the last row (test split only) leaves
+        # training untouched and overflows the test MSE
+        table = sinusoid_table(700, variables=2, cycles_per_window=(3.0,), window=32,
+                               snr_db=14.0, seed=0)
+        table.values[-1, 0] = 1e300
+        path = str(tmp_path / "huge.csv")
+        datamod.save_csv(table, path)
+        out = str(tmp_path / "out")
+        code = main(["train", "--config", base_cfg, "--override", f"data.path={path}",
+                     "--out", out, *grid])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite test metrics" in err and "Traceback" not in err
+        assert not os.path.exists(out) or os.listdir(out) == []
+
     def test_missing_dataset_names_path(self, tmp_path, base_cfg, capsys):
         code = main(["train", "--config", base_cfg, "--override",
                      "data.path=/nope/missing.csv", "--out", str(tmp_path / "o")])

@@ -41,6 +41,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"line 3, column 2 \(a\)"):
             data.load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e400"])
+    def test_infinite_cell_named(self, tmp_path, cell):
+        path = write_csv(
+            tmp_path,
+            "date,a,b\n"
+            "2020-01-01 00:00:00,1.0,2.0\n"
+            "2020-01-01 01:00:00,3.0,2.0\n"
+            f"2020-01-01 02:00:00,5.0,{cell}\n",
+        )
+        with pytest.raises(DataError, match=r"line 4, column 3 \(b\): missing/non-finite"):
+            data.load_csv(path)
+
     def test_non_numeric_cell_named(self, tmp_path):
         path = write_csv(
             tmp_path,

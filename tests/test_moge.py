@@ -5,6 +5,7 @@ import pytest
 
 from adamoge import autodiff as ad
 from adamoge import filterbank as fb
+from adamoge import fourier
 from adamoge import moge
 from adamoge.autodiff import ParameterStore, Variable
 from adamoge.moge import AdaMoGeModel, ModelConfig
@@ -232,6 +233,21 @@ class TestForward:
         want = reference_forward(store, model, x)
         assert np.max(np.abs(got - want)) < 1e-8
 
+    @pytest.mark.parametrize("horizon", [9, 24])
+    def test_matches_looped_reference_odd_and_long_horizon(self, horizon):
+        # H = 9 has no Nyquist bin, H = 24 > L has more output than input
+        # bins; the mixed spectrum's imaginary parts must land exactly where
+        # each expert's own inverse transform would put them
+        store, model = build_model(lookback=16, horizon=horizon, variables=2, e_max=3, seed=4)
+        store["b0.experts.bim"].value[...] = np.random.default_rng(31).standard_normal(
+            store["b0.experts.bim"].value.shape
+        )
+        x = 0.7 * np.random.default_rng(32).standard_normal((3, 16, 2))
+        got = model.predict(x)
+        want = reference_forward(store, model, x)
+        assert got.shape == (3, horizon, 2)
+        assert np.max(np.abs(got - want)) < 1e-8
+
     def test_uniform_full_selection_is_mean_of_experts(self):
         store, model = build_model(e_max=3, adaptive_k=False, fixed_k=3)
         store["b0.gate.wg"].value[...] = 0.0
@@ -244,14 +260,20 @@ class TestForward:
 
         spec = spectrum_of(Variable(x))
         sre, sim, _ = block.bank.apply(spec)
-        per_expert = block.experts_forward(sre, sim).value
-        want = per_expert.mean(axis=1).transpose(0, 1, 2)
+        spectra = block.experts_forward(sre, sim).value
+        o = block.out_bins
+        per_expert = fourier.irfft(spectra[..., :o], spectra[..., o:], block.out_len) * (
+            block.out_len / block.in_len
+        )
+        want = per_expert.mean(axis=1).transpose(0, 2, 1)
         got = model.predict(x)
         assert np.max(np.abs(got - want)) < 1e-9
 
-    def test_unselected_expert_is_bit_inert(self):
+    @staticmethod
+    def starved_expert_model():
+        """A model whose expert 2 loses the gate for every sample of x, and
+        the forecast for x."""
         store, model = build_model(e_max=3, seed=1)
-        # force expert 2 to lose the gate for every sample
         store["b0.gate.wg"].value[...] = 0.0
         store["b0.gate.bg"].value[...] = np.array([2.0, 1.0, -5.0])
         store["b0.gate.w1"].value[...] = 0.0
@@ -261,9 +283,22 @@ class TestForward:
         diag = []
         base = model.forward(Variable(x), diag).value
         assert all(2 not in d for d in (diag[0].decision.indices(b) for b in range(3)))
+        return store, model, x, base
+
+    def test_unselected_expert_is_bit_inert(self):
+        store, model, x, base = self.starved_expert_model()
         store["b0.experts.wre"].value[2] += 3.5
         store["b0.experts.bim"].value[2] -= 1.25
         again = model.predict(x)
+        assert base.tobytes() == again.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("planted", [np.nan, np.inf])
+    def test_unselected_expert_nonfinite_weights_are_bit_inert(self, planted):
+        store, model, x, base = self.starved_expert_model()
+        store["b0.experts.wre"].value[2, 1] = planted
+        again = model.predict(x)
+        assert np.all(np.isfinite(again))
         assert base.tobytes() == again.tobytes()
 
     def test_unselected_expert_gets_zero_gradient(self):
