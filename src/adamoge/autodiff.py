@@ -64,9 +64,6 @@ class Variable:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
 
 class Parameter(Variable):
     """Named learnable leaf with a persistent, pre-allocated gradient buffer."""
@@ -257,13 +254,6 @@ def div(a, b) -> Variable:
     return out
 
 
-def neg(a) -> Variable:
-    a = as_variable(a)
-    out = Variable(-a.value)
-    _record((a,), (out,), lambda g: (-g,))
-    return out
-
-
 def square(a) -> Variable:
     a = as_variable(a)
     out = Variable(a.value * a.value)
@@ -275,13 +265,6 @@ def exp(a) -> Variable:
     a = as_variable(a)
     out = Variable(np.exp(a.value))
     _record((a,), (out,), lambda g: (g * out.value,))
-    return out
-
-
-def sqrt(a) -> Variable:
-    a = as_variable(a)
-    out = Variable(np.sqrt(a.value))
-    _record((a,), (out,), lambda g: (g * 0.5 / out.value,))
     return out
 
 

@@ -87,7 +87,7 @@ def resolve_config(args, default_path: str | None = None) -> RunConfig:
         cfg.train.seed = args.seed
     if args.out is not None:
         cfg.output.dir = args.out
-    return cfg
+    return cfgmod.validate(cfg, grid=getattr(args, "grid", False))
 
 
 def load_dataset(cfg: RunConfig) -> datamod.Dataset:

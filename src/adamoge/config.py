@@ -8,8 +8,10 @@ ties checkpoints, reports and eval runs together.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
+from .fourier import MAX_LENGTH
 from .moge import ModelConfig
 from .training import TrainConfig
 
@@ -113,7 +115,7 @@ def parse_file(path: str, cfg: RunConfig | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     for line_no, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -135,6 +137,36 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     return cfg
 
 
+def _value(cfg: RunConfig, key: str):
+    section, attr, _ = _SCHEMA[key]
+    return getattr(getattr(cfg, section), attr)
+
+
+def validate(cfg: RunConfig, grid: bool = False) -> RunConfig:
+    """Reject values no run can use, naming the key, before anything is loaded
+    or written.  With ``grid`` the fixed expert count must suit every
+    ``train.grid.e_max`` of the sweep instead of ``model.e_max``."""
+    for key in ("data.lookback", "data.horizon"):
+        if not 2 <= _value(cfg, key) <= MAX_LENGTH:
+            raise ConfigError(f"{key} must lie in [2, {MAX_LENGTH}], got {_value(cfg, key)}")
+    for key in ("model.e_max", "model.depth", "model.feature_dim"):
+        if _value(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {_value(cfg, key)}")
+    for key, (_, _, parser) in _SCHEMA.items():
+        if parser is float and not math.isfinite(_value(cfg, key)):
+            raise ConfigError(f"{key} must be finite, got {_value(cfg, key)}")
+        if parser is str and "\0" in _value(cfg, key):
+            raise ConfigError(f"{key} contains a NUL character")
+    try:
+        cfg.train.validate()
+        if not cfg.model.adaptive_k:
+            for e_max in cfg.train.grid_e_max if grid else (cfg.model.e_max,):
+                replace(cfg.model, e_max=e_max).resolved_fixed_k()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg
+
+
 def _render_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -151,8 +183,7 @@ def render(cfg: RunConfig, include_output: bool = True) -> str:
     for key in sorted(_SCHEMA):
         if not include_output and key.startswith("output."):
             continue
-        section, attr, _ = _SCHEMA[key]
-        lines.append(f"{key} = {_render_value(getattr(getattr(cfg, section), attr))}")
+        lines.append(f"{key} = {_render_value(_value(cfg, key))}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,7 @@ metrics live on the normalised scale.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,49 +67,64 @@ def _parse_timestamp(text: str, line: int) -> datetime:
 def load_csv(path: str) -> SeriesTable:
     """Load an ETT-format CSV, rejecting NaN cells and unordered timestamps."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open dataset {path!r}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return _parse_table(path, reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+
+
+def _parse_table(path: str, reader) -> SeriesTable:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    if len(header) < 2:
+        raise DataError(f"{path}: need a timestamp column plus data columns")
+    names = [h.strip() for h in header[1:]]
+    timestamps: list[str] = []
+    rows: list[list[float]] = []
+    prev: datetime | None = None
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"line {line_no}: {len(row)} fields, header has {len(header)}"
+            )
+        stamp = _parse_timestamp(row[0], line_no)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise DataError(f"{path}: need a timestamp column plus data columns")
-        names = [h.strip() for h in header[1:]]
-        timestamps: list[str] = []
-        rows: list[list[float]] = []
-        prev: datetime | None = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+            increasing = prev is None or stamp > prev
+        except TypeError:  # an offset-aware and a naive timestamp
+            raise DataError(
+                f"line {line_no}: timestamps mix UTC offsets with naive times"
+            ) from None
+        if not increasing:
+            raise DataError(f"line {line_no}: timestamps not strictly increasing")
+        prev = stamp
+        parsed = []
+        for col, cell in enumerate(row[1:], start=2):
+            try:
+                val = float(cell)
+            except ValueError:
                 raise DataError(
-                    f"line {line_no}: {len(row)} fields, header has {len(header)}"
+                    f"line {line_no}, column {col} ({names[col - 2]}): "
+                    f"non-numeric cell {cell!r}"
+                ) from None
+            if not math.isfinite(val):
+                raise DataError(
+                    f"line {line_no}, column {col} ({names[col - 2]}): "
+                    f"missing/non-finite value"
                 )
-            stamp = _parse_timestamp(row[0], line_no)
-            if prev is not None and stamp <= prev:
-                raise DataError(f"line {line_no}: timestamps not strictly increasing")
-            prev = stamp
-            parsed = []
-            for col, cell in enumerate(row[1:], start=2):
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"line {line_no}, column {col} ({names[col - 2]}): "
-                        f"non-numeric cell {cell!r}"
-                    ) from None
-                if not math.isfinite(val):
-                    raise DataError(
-                        f"line {line_no}, column {col} ({names[col - 2]}): "
-                        f"missing/non-finite value"
-                    )
-                parsed.append(val)
-            timestamps.append(row[0].strip())
-            rows.append(parsed)
+            parsed.append(val)
+        timestamps.append(row[0].strip())
+        rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return SeriesTable(timestamps, np.asarray(rows, dtype=np.float64), names)

@@ -49,7 +49,7 @@ class ModelConfig:
     def resolved_fixed_k(self) -> int:
         k = self.fixed_k if self.fixed_k > 0 else (self.e_max + 1) // 2
         if not 1 <= k <= self.e_max:
-            raise ValueError(f"fixed_k {k} outside [1, {self.e_max}]")
+            raise ValueError(f"model.fixed_k {k} outside [1, model.e_max = {self.e_max}]")
         return k
 
 

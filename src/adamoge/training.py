@@ -92,13 +92,19 @@ class TrainConfig:
     grid_feature_dim: tuple[int, ...] = (8, 16, 32)
 
     def validate(self) -> None:
-        for name in ("epochs", "batch_size", "patience"):
-            if getattr(self, name) < 0 or (name != "patience" and getattr(self, name) < 1):
-                raise ValueError(f"train.{name} must be positive")
-        if self.base_lr <= 0 or self.min_lr <= 0:
-            raise ValueError("learning rates must be positive")
-        if not (self.grid_e_max and self.grid_depth and self.grid_feature_dim):
-            raise ValueError("grid lists must be nonempty")
+        """Raise ValueError naming the first ``train.*`` key out of range."""
+        for name, low in (("epochs", 1), ("batch_size", 1), ("patience", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"train.{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("base_lr", "min_lr"):
+            if not getattr(self, name) > 0.0:  # NaN fails too
+                raise ValueError(f"train.{name} must be positive, got {getattr(self, name)}")
+        for name in ("e_max", "depth", "feature_dim"):
+            values = getattr(self, f"grid_{name}")
+            if not values or min(values) < 1:
+                raise ValueError(
+                    f"train.grid.{name} must be a nonempty list of positive integers, got {values}"
+                )
 
 
 @dataclass

@@ -88,7 +88,6 @@ class TestPrimitiveAdjoints:
             "mul",
             "div",
             "exp",
-            "sqrt",
             "square",
             "relu",
             "sigmoid",
@@ -113,7 +112,6 @@ class TestPrimitiveAdjoints:
             "mul": lambda s: ad.vsum(s["a"] * s["b"]),
             "div": lambda s: ad.vsum(s["a"] / s["b"]),
             "exp": lambda s: ad.vsum(ad.exp(s["a"])),
-            "sqrt": lambda s: ad.vsum(ad.sqrt(s["a"])),
             "square": lambda s: ad.vsum(ad.square(s["a"])),
             "relu": lambda s: ad.vsum(ad.relu(s["a"] - 1.0)),
             "sigmoid": lambda s: ad.vsum(ad.sigmoid(s["a"])),
@@ -254,7 +252,7 @@ class TestGradCheck:
         store = make_store(bad=np.array([0.0]))
 
         def build(s):
-            return ad.vsum(ad.sqrt(s["bad"] - 1.0))  # sqrt of negative -> nan
+            return ad.vsum(ad.exp(s["bad"] + 1000.0))  # exp overflows -> inf
 
         with pytest.raises(ad.NumericError):
             grad_check(build, store)
@@ -262,7 +260,7 @@ class TestGradCheck:
     def test_name_filter(self):
         store = make_store(a=np.ones(2), b=np.ones(2))
         err = grad_check(
-            lambda s: ad.vsum(ad.square(s["a"])) + ad.vsum(ad.sqrt(s["b"])),
+            lambda s: ad.vsum(ad.square(s["a"])) + ad.vsum(ad.exp(s["b"])),
             store,
             names=["a"],
         )

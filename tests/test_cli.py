@@ -58,6 +58,28 @@ def nan_checkpoint(tmp_path, base_cfg):
     return str(out / "checkpoint.bin")
 
 
+# train arguments, and the key the error message must name
+BAD_VALUES = [
+    (["--override", "train.batch_size=0"], "train.batch_size"),
+    (["--override", "train.epochs=0"], "train.epochs"),
+    (["--override", "model.e_max=0"], "model.e_max"),
+    (["--override", "model.depth=0"], "model.depth"),
+    (["--override", "model.feature_dim=0"], "model.feature_dim"),
+    (["--override", "model.fixed_k=9", "--override", "model.adaptive_k=false"],
+     "model.fixed_k"),
+    (["--override", "data.lookback=1"], "data.lookback"),
+    (["--override", "data.horizon=0"], "data.horizon"),
+    (["--override", "data.lookback=2048"], "data.lookback"),
+    (["--override", "train.grid.depth=", "--grid"], "train.grid.depth"),
+    (["--override", "model.adaptive_k=false", "--override", "model.fixed_k=3",
+      "--override", "train.grid.e_max=2,3", "--grid"], "model.fixed_k"),
+    (["--seed", "-1"], "train.seed"),
+    (["--override", "train.base_lr=nan"], "train.base_lr"),
+    (["--override", "model.sigma0=inf"], "model.sigma0"),
+    (["--override", "data.path=a\0b.csv"], "data.path"),
+]
+
+
 class TestTrain:
     def test_smoke_writes_artifacts(self, tmp_path, base_cfg, capsys):
         code, out = run_train(tmp_path, base_cfg)
@@ -100,6 +122,41 @@ class TestTrain:
         code = main(["train", "--config", base_cfg, "--override", "model.bogus=1"])
         assert code == 1
         assert "model.bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, key", BAD_VALUES, ids=[
+        " ".join(a for a in args if a != "--override").replace("\0", "NUL")
+        for args, _ in BAD_VALUES
+    ])
+    def test_bad_value_exits_1_naming_key(self, tmp_path, base_cfg, capsys, args, key):
+        out = tmp_path / "out"
+        code = main(["train", "--config", base_cfg, "--out", str(out), *args])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_1_naming_file(self, tmp_path, base_cfg, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(open(base_cfg, "rb").read() + b"# caf\xe9 \xff\n")
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not out.exists()
+
+    def test_non_utf8_csv_exits_2_naming_file(self, tmp_path, base_cfg, synth_csv, capsys):
+        blob = bytearray(open(synth_csv, "rb").read())
+        blob[-3] = 0xFF  # inside the last numeric cell
+        path = tmp_path / "bad.csv"
+        path.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        code = main(["train", "--config", base_cfg, "--override", f"data.path={path}",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not out.exists()
 
     def test_seed_determinism_same_report_hash(self, tmp_path, base_cfg, capsys):
         def hash_of(out_dir):

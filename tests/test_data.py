@@ -71,6 +71,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="not strictly increasing"):
             data.load_csv(path)
 
+    def test_mixed_utc_offset_and_naive_timestamps(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            "date,a\n"
+            "2020-01-01 00:00:00+01:00,1.0\n"
+            "2020-01-01 01:00:00,2.0\n",
+        )
+        with pytest.raises(DataError, match="line 3: timestamps mix"):
+            data.load_csv(path)
+
+    def test_oversized_field_is_data_error(self, tmp_path):
+        path = write_csv(tmp_path, "date,a\n2020-01-01 00:00:00," + "1" * 200_000 + "\n")
+        with pytest.raises(DataError, match="line 2"):
+            data.load_csv(path)
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
             data.load_csv(write_csv(tmp_path, ""))
