@@ -68,12 +68,11 @@ class Variable:
 class Parameter(Variable):
     """Named learnable leaf with a persistent, pre-allocated gradient buffer."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, value, trainable: bool = True):
+    def __init__(self, name: str, value):
         super().__init__(value)
         self.name = name
-        self.trainable = trainable
         self.grad = np.zeros_like(self.value)
 
     def __repr__(self) -> str:
@@ -86,10 +85,10 @@ class ParameterStore:
     def __init__(self):
         self._params: dict[str, Parameter] = {}
 
-    def add(self, name: str, value, trainable: bool = True) -> Parameter:
+    def add(self, name: str, value) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, value, trainable)
+        p = Parameter(name, value)
         self._params[name] = p
         return p
 
@@ -107,12 +106,6 @@ class ParameterStore:
 
     def names(self) -> list[str]:
         return list(self._params)
-
-    def trainable(self) -> list[Parameter]:
-        return [p for p in self._params.values() if p.trainable]
-
-    def count_trainable(self) -> int:
-        return sum(p.value.size for p in self.trainable())
 
     def zero_grads(self) -> None:
         for p in self._params.values():
@@ -534,7 +527,7 @@ def grad_check(
 ) -> float:
     """Max relative error between reverse-mode and central-difference gradients.
 
-    Every trainable scalar is perturbed individually (+/- eps) to form the
+    Every parameter scalar is perturbed individually (+/- eps) to form the
     central-difference gradient.  Per parameter tensor the error is
     ||analytic - fd|| / max(||analytic||, ||fd||, 1e-8); the max over
     parameters is returned.  Comparing norms per tensor keeps the check
@@ -542,11 +535,11 @@ def grad_check(
     finite-difference noise floor of float64.
 
     ``loss_fn`` must be a deterministic scalar function of the store's current
-    values.  ``names`` restricts the check to a subset of trainable parameters.
+    values.  ``names`` restricts the check to a subset of the parameters.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
-    params = store.trainable()
+    params = list(store)
     if names is not None:
         wanted = set(names)
         params = [p for p in params if p.name in wanted]

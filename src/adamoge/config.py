@@ -157,6 +157,18 @@ def validate(cfg: RunConfig, grid: bool = False) -> RunConfig:
             raise ConfigError(f"{key} must be finite, got {_value(cfg, key)}")
         if parser is str and "\0" in _value(cfg, key):
             raise ConfigError(f"{key} contains a NUL character")
+    # filter-bank bandwidths: 0 means "derive from the lookback" for sigma0
+    # and sigma_max; sigma must stay positive and alpha must let it adapt
+    for key in ("model.sigma_min", "model.alpha"):
+        if _value(cfg, key) <= 0.0:
+            raise ConfigError(f"{key} must be > 0, got {_value(cfg, key)}")
+    for key in ("model.sigma0", "model.sigma_max"):
+        if _value(cfg, key) < 0.0:
+            raise ConfigError(f"{key} must be >= 0 (0 = auto), got {_value(cfg, key)}")
+    sigma_max = cfg.model.sigma_max or (cfg.data.lookback // 2) / 2.0
+    if sigma_max < cfg.model.sigma_min:
+        raise ConfigError(f"model.sigma_max {sigma_max} is below model.sigma_min "
+                          f"{cfg.model.sigma_min} (sigma_max 0 means (lookback // 2) / 2)")
     try:
         cfg.train.validate()
         if not cfg.model.adaptive_k:

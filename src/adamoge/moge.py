@@ -15,6 +15,10 @@ they receive no gradient.
 Depth > 1 stacks length-preserving blocks (band mixing plus a residual
 pointwise feed-forward over the time axis); the final block maps the
 lookback to the horizon.
+
+Blocks work per variable along time, in the (B, V, T) layout: one series
+per (sample, variable) row.  The model transposes the public (B, L, V)
+window once on entry and its (B, V, H) forecast once on exit.
 """
 
 from __future__ import annotations
@@ -107,7 +111,8 @@ def straight_through_scale(k_hat: Variable, k: np.ndarray) -> Variable:
 
 
 class AdaMoGeBlock:
-    """One band-mixing block: filter bank + gate + experts + residual FFN."""
+    """One band-mixing block, (B, V, in_len) -> (B, V, out_len): filter bank
+    + gate + experts + residual FFN."""
 
     def __init__(
         self,
@@ -180,11 +185,11 @@ class AdaMoGeBlock:
         return ad.complex_expert_map(sub_re, sub_im, self.ewre, self.ewim, self.ebre, self.ebim)
 
     def _ffn(self, y: Variable) -> Variable:
-        b, t, v = y.value.shape
-        flat = ad.reshape(ad.transpose(y, (0, 2, 1)), (b * v, t))
+        b, v, t = y.value.shape
+        flat = ad.reshape(y, (b * v, t))
         h = ad.relu(ad.linear(flat, self.fw1, self.fb1))
         out = ad.linear(h, self.fw2, self.fb2)
-        return y + ad.transpose(ad.reshape(out, (b, v, t)), (0, 2, 1))
+        return y + ad.reshape(out, (b, v, t))
 
     def forward(self, x: Variable, diag: list | None = None) -> Variable:
         spec = spectrum_of(x)
@@ -199,8 +204,7 @@ class AdaMoGeBlock:
         if k_hat is not None:
             st = straight_through_scale(k_hat, decision.k)
             gain = ad.reshape(st * gain, (-1, 1, 1))
-        yt = ad.irfft_op(spec_mix * gain, self.out_len)
-        mixed = ad.transpose(yt, (0, 2, 1))
+        mixed = ad.irfft_op(spec_mix * gain, self.out_len)
         if diag is not None:
             diag.append(
                 BlockDiagnostics(
@@ -234,7 +238,10 @@ class BlockDiagnostics:
 
 
 class AdaMoGeModel:
-    """Stack of band-mixing blocks mapping (B, L, V) windows to (B, H, V)."""
+    """Stack of band-mixing blocks mapping (B, L, V) windows to (B, H, V).
+
+    The blocks run in (B, V, T); ``forward`` transposes the window once
+    before the first block and the last block's output once after it."""
 
     def __init__(
         self,
@@ -275,17 +282,17 @@ class AdaMoGeModel:
             raise ValueError(
                 f"window is (B,{l},{v}), model expects (B,{self.lookback},{self.variables})"
             )
-        out = window
+        out = ad.transpose(window, (0, 2, 1))
         for block in self.blocks:
             out = block.forward(out, diag)
-        return out
+        return ad.transpose(out, (0, 2, 1))
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Inference on raw arrays (no tape)."""
         return self.forward(Variable(windows)).value
 
     def parameter_count(self) -> int:
-        return self.store.count_trainable()
+        return sum(p.value.size for p in self.store)
 
     def khead_parameter_names(self) -> list[str]:
         """Parameters whose only path to the loss crosses the count-rounding

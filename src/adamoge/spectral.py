@@ -1,9 +1,10 @@
 """Spectral summary features that drive the expert gate.
 
-From a batch of half spectra, two magnitude summaries are formed: the
-per-bin mean over variables (which frequencies the channels agree on) and
-the per-variable mean over bins (which channels are active).  Their
-concatenation is the gate's input feature vector.
+Windows arrive in the model's internal (B, V, L) layout: one time series
+per (sample, variable) row.  From their half spectra two magnitude
+summaries are formed: the per-bin mean over variables (which frequencies
+the channels agree on) and the per-variable mean over bins (which channels
+are active).  Their concatenation is the gate's input feature vector.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import Variable
-from .fourier import half_bins
 
 
 @dataclass
@@ -21,15 +21,6 @@ class SpectrumBatch:
 
     re: Variable
     im: Variable
-    lookback: int
-
-    def __post_init__(self):
-        if self.re.value.shape != self.im.value.shape:
-            raise ValueError("re/im shapes differ")
-        if self.bins != half_bins(self.lookback):
-            raise ValueError(
-                f"{self.bins} bins inconsistent with lookback {self.lookback}"
-            )
 
     @property
     def batch(self) -> int:
@@ -44,40 +35,21 @@ class SpectrumBatch:
         return self.re.value.shape[2]
 
 
-def spectrum_of(window: Variable) -> SpectrumBatch:
-    """Half spectrum along time of a (B, L, V) window batch -> (B, V, F)."""
-    bvl = ad.transpose(window, (0, 2, 1))
-    re, im = ad.rfft_op(bvl)
-    return SpectrumBatch(re, im, lookback=window.value.shape[1])
-
-
-def cross_variable_response(spec: SpectrumBatch) -> Variable:
-    """Per-bin magnitude averaged over variables, shape (B, F)."""
-    return ad.vmean(ad.magnitude(spec.re, spec.im), axis=1)
-
-
-def spectral_intensity(spec: SpectrumBatch) -> Variable:
-    """Per-variable magnitude averaged over bins, shape (B, V)."""
-    return ad.vmean(ad.magnitude(spec.re, spec.im), axis=2)
-
-
-def gate_features(mu: Variable, e: Variable) -> Variable:
-    """Concatenate [mu ; e] per sample, shape (B, F+V)."""
-    if mu.value.shape[0] != e.value.shape[0]:
-        raise ValueError(
-            f"batch mismatch: mu has {mu.value.shape[0]} rows, e has {e.value.shape[0]}"
-        )
-    return ad.concat([mu, e], axis=1)
+def spectrum_of(x: Variable) -> SpectrumBatch:
+    """Half spectrum along time of a (B, V, L) window batch -> (B, V, F)."""
+    re, im = ad.rfft_op(x)
+    return SpectrumBatch(re, im)
 
 
 @dataclass
 class SpectralSummary:
-    mu: Variable  # (B, F)
-    e: Variable  # (B, V)
-    chi: Variable  # (B, F+V)
+    mu: Variable  # (B, F) per-bin magnitude averaged over variables
+    e: Variable  # (B, V) per-variable magnitude averaged over bins
+    chi: Variable  # (B, F+V) the gate features [mu ; e]
 
 
 def summarize(spec: SpectrumBatch) -> SpectralSummary:
-    mu = cross_variable_response(spec)
-    e = spectral_intensity(spec)
-    return SpectralSummary(mu=mu, e=e, chi=gate_features(mu, e))
+    mag = ad.magnitude(spec.re, spec.im)
+    mu = ad.vmean(mag, axis=1)
+    e = ad.vmean(mag, axis=2)
+    return SpectralSummary(mu=mu, e=e, chi=ad.concat([mu, e], axis=1))

@@ -56,15 +56,15 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
-        self._m = {p.name: np.zeros_like(p.value) for p in store.trainable()}
-        self._v = {p.name: np.zeros_like(p.value) for p in store.trainable()}
+        self._m = {p.name: np.zeros_like(p.value) for p in store}
+        self._v = {p.name: np.zeros_like(p.value) for p in store}
 
     def step(self, lr: float) -> None:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for p in self.store.trainable():
+        for p in self.store:
             g = p.grad
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient in parameter {p.name!r}")

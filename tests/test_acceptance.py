@@ -78,7 +78,7 @@ def test_criterion_2_full_model_gradient_fidelity():
         return ad.vmean(ad.square(model.forward(Variable(x)) - y))
 
     khead = set(model.khead_parameter_names())
-    include = [p.name for p in store.trainable() if p.name not in khead]
+    include = [p.name for p in store if p.name not in khead]
     err = ad.grad_check(build, store, eps=1e-5, names=include)
     assert err < 1e-4, f"max relative gradient error {err}"
     announce(2, f"full-model gradient error {err:.2e} < 1e-4 at verified margins")
@@ -146,7 +146,7 @@ def test_criterion_4_filter_properties():
         for _ in range(100):
             store.zero_grads()
             with Tape() as tape:
-                h = bank.evaluate(spectrum_of(Variable(x))).h
+                h = bank.evaluate(spectrum_of(Variable(x.transpose(0, 2, 1)))).h
                 loss = ad.vmean(ad.square(h - target))
                 tape.backward(loss)
             opt.step(1e-2)
@@ -155,7 +155,7 @@ def test_criterion_4_filter_properties():
         f1v, f2v = f1.value, f2.value
         assert np.all(f1v < f2v) and np.all(f1v > 0.0), "cutoff ordering broke"
 
-        sigma = bank.evaluate(spectrum_of(Variable(x))).sigma.value
+        sigma = bank.evaluate(spectrum_of(Variable(x.transpose(0, 2, 1)))).sigma.value
         assert np.all(sigma >= bank.sigma_min) and np.all(sigma <= bank.sigma_max)
 
         mid = (f1v + f2v) / 2.0

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -34,11 +36,6 @@ class TestStore:
         store["a"].value[...] = 0.0
         store.load_state_dict(state)
         assert np.array_equal(store["a"].value, state["a"])
-
-    def test_count_trainable(self):
-        store = make_store(a=np.zeros((2, 3)))
-        store.add("frozen", np.zeros(10), trainable=False)
-        assert store.count_trainable() == 6
 
 
 class TestBackward:
@@ -101,7 +98,9 @@ class TestPrimitiveAdjoints:
         ],
     )
     def test_against_central_differences(self, name):
-        rng = np.random.default_rng(hash(name) % 2**32)
+        # crc32, unlike the per-process salted str hash, draws the same
+        # inputs in every run
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         a = rng.uniform(0.5, 2.0, size=(3, 4))
         b = rng.uniform(0.5, 2.0, size=(3, 4))
         w = rng.uniform(-1.0, 1.0, size=(5, 4))
@@ -123,6 +122,11 @@ class TestPrimitiveAdjoints:
             "transpose": lambda s: ad.vsum(ad.square(ad.transpose(s["a"], (1, 0)))),
             "clamp": lambda s: ad.vsum(ad.clamp(s["a"], 0.8, 1.7)),
         }
+        # a central difference straddling a kink of the builder above
+        # measures neither one-sided slope
+        kinks = {"relu": (1.0,), "absval": (1.2,), "clamp": (0.8, 1.7)}
+        for kink in kinks.get(name, ()):
+            assert np.min(np.abs(a - kink)) >= 1e-3, f"{name}: input within 1e-3 of {kink}"
         err = fd_check(builders[name], {"a": a, "b": b, "w": w, "c": c})
         assert err < 1e-6, f"{name}: {err}"
 
@@ -248,6 +252,7 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(lambda s: ad.vsum(s["theta"]), store, eps=1e-2)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp overflows on purpose
     def test_nonfinite_loss_names_parameter(self):
         store = make_store(bad=np.array([0.0]))
 

@@ -76,6 +76,14 @@ BAD_VALUES = [
     (["--seed", "-1"], "train.seed"),
     (["--override", "train.base_lr=nan"], "train.base_lr"),
     (["--override", "model.sigma0=inf"], "model.sigma0"),
+    (["--override", "model.sigma0=-1"], "model.sigma0"),
+    (["--override", "model.sigma_min=0"], "model.sigma_min"),
+    (["--override", "model.sigma_min=-0.5"], "model.sigma_min"),
+    (["--override", "model.sigma_max=-1"], "model.sigma_max"),
+    (["--override", "model.sigma_max=0.25"], "model.sigma_max"),
+    (["--override", "model.sigma_min=9"], "model.sigma_max"),
+    (["--override", "model.alpha=0"], "model.alpha"),
+    (["--override", "model.alpha=-1"], "model.alpha"),
     (["--override", "data.path=a\0b.csv"], "data.path"),
 ]
 
@@ -95,6 +103,7 @@ class TestTrain:
     @pytest.mark.parametrize("grid", [[], ["--grid", "--override", "train.grid.e_max=2,3",
                                            "--override", "train.grid.depth=1",
                                            "--override", "train.grid.feature_dim=8"]])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the test MSE overflows on purpose
     def test_nonfinite_test_metrics_exit_3_without_artifacts(self, tmp_path, base_cfg, capsys,
                                                              grid):
         # a finite but huge target in the last row (test split only) leaves

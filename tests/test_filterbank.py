@@ -16,7 +16,7 @@ def make_bank(e_max=3, bins=9, **kw):
 
 
 def random_spectrum(rng, b=2, l=16, v=2, scale=1.0):
-    return spectrum_of(Variable(scale * rng.standard_normal((b, l, v))))
+    return spectrum_of(Variable(scale * rng.standard_normal((b, l, v)).transpose(0, 2, 1)))
 
 
 class TestResponse:
@@ -182,7 +182,7 @@ class TestGradients:
     def test_filtering_path_including_sigma(self):
         rng = np.random.default_rng(10)
         store, bank = make_bank(e_max=3, bins=9, sigma_min=0.05, sigma_max=20.0)
-        store.add("x", 0.5 * rng.standard_normal((2, 16, 2)))
+        store.add("x", 0.5 * rng.standard_normal((2, 16, 2)).transpose(0, 2, 1))
 
         def build(s):
             spec = spectrum_of(s["x"])
@@ -205,10 +205,10 @@ class TestGradients:
         for _ in range(100):
             store.zero_grads()
             with ad.Tape() as tape:
-                h = bank.evaluate(spectrum_of(Variable(x))).h
+                h = bank.evaluate(spectrum_of(Variable(x.transpose(0, 2, 1)))).h
                 loss = ad.vmean(ad.square(h - target))
                 tape.backward(loss)
-            for p in store.trainable():
+            for p in store:
                 p.value -= 0.05 * p.grad
             f1, f2 = bank.cutoffs()
             assert np.all(f1.value < f2.value) and np.all(f1.value > 0.0)

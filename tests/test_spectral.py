@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +8,8 @@ from adamoge.autodiff import Variable
 
 
 def spectrum_from_windows(x):
-    return spectral.spectrum_of(Variable(x))
+    """Spectrum of (B, L, V) windows, passed in the model's (B, V, L) layout."""
+    return spectral.spectrum_of(Variable(x.transpose(0, 2, 1)))
 
 
 def loop_mu(re, im):
@@ -40,7 +40,7 @@ class TestCrossVariableResponse:
     def test_single_variable_equals_magnitude(self):
         x = np.random.default_rng(0).standard_normal((2, 8, 1))
         spec = spectrum_from_windows(x)
-        mu = spectral.cross_variable_response(spec)
+        mu = spectral.summarize(spec).mu
         mag = np.hypot(spec.re.value, spec.im.value)[:, 0, :]
         assert np.allclose(mu.value, mag, atol=1e-14)
 
@@ -49,13 +49,13 @@ class TestCrossVariableResponse:
         x = np.stack(
             [np.full(4, 0.5), np.full(4, 1.0)], axis=1
         )[None, :, :]
-        mu = spectral.cross_variable_response(spectrum_from_windows(x))
+        mu = spectral.summarize(spectrum_from_windows(x)).mu
         assert np.allclose(mu.value, [[3.0, 0.0, 0.0]], atol=1e-13)
 
     def test_matches_loop_oracle(self):
         x = np.random.default_rng(1).standard_normal((2, 8, 3))
         spec = spectrum_from_windows(x)
-        mu = spectral.cross_variable_response(spec)
+        mu = spectral.summarize(spec).mu
         want = loop_mu(spec.re.value, spec.im.value)
         assert np.max(np.abs(mu.value - want)) < 1e-12
 
@@ -63,43 +63,43 @@ class TestCrossVariableResponse:
 class TestSpectralIntensity:
     def test_zero_signal(self):
         spec = spectrum_from_windows(np.zeros((1, 8, 2)))
-        e = spectral.spectral_intensity(spec)
+        e = spectral.summarize(spec).e
         assert np.all(e.value == 0.0)
 
     def test_constant_signal_dc_only(self):
         c, L = 1.5, 8
         spec = spectrum_from_windows(np.full((1, L, 1), c))
-        e = spectral.spectral_intensity(spec)
+        e = spectral.summarize(spec).e
         f = L // 2 + 1
         assert np.allclose(e.value, c * L / f, atol=1e-12)
 
     def test_matches_loop_oracle(self):
         x = np.random.default_rng(2).standard_normal((3, 12, 2))
         spec = spectrum_from_windows(x)
-        e = spectral.spectral_intensity(spec)
+        e = spectral.summarize(spec).e
         want = loop_intensity(spec.re.value, spec.im.value)
         assert np.max(np.abs(e.value - want)) < 1e-12
 
 
 class TestGateFeatures:
     def test_concatenation_order(self):
-        mu = Variable(np.array([[1.0, 2.0]]))
-        e = Variable(np.array([[3.0]]))
-        chi = spectral.gate_features(mu, e)
-        assert np.array_equal(chi.value, [[1.0, 2.0, 3.0]])
+        # chi is [mu ; e] per sample, checked against the loop oracles
+        x = np.random.default_rng(3).standard_normal((2, 10, 3))
+        spec = spectrum_from_windows(x)
+        chi = spectral.summarize(spec).chi
+        re, im = spec.re.value, spec.im.value
+        want = np.concatenate([loop_mu(re, im), loop_intensity(re, im)], axis=1)
+        assert np.max(np.abs(chi.value - want)) < 1e-12
 
     def test_zero_in_zero_out(self):
-        chi = spectral.gate_features(Variable(np.zeros((2, 4))), Variable(np.zeros((2, 3))))
+        chi = spectral.summarize(spectrum_from_windows(np.zeros((2, 6, 3)))).chi
+        assert chi.value.shape == (2, 4 + 3)
         assert np.all(chi.value == 0.0)
 
     def test_ett_sized_feature_length(self):
         x = np.zeros((1, 96, 7))
         summary = spectral.summarize(spectrum_from_windows(x))
         assert summary.chi.value.shape == (1, 49 + 7)
-
-    def test_batch_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            spectral.gate_features(Variable(np.zeros((2, 4))), Variable(np.zeros((3, 2))))
 
 
 class TestInvariants:
@@ -136,14 +136,11 @@ class TestGradients:
     def test_chi_differentiable_to_window(self):
         rng = np.random.default_rng(6)
         store = ad.ParameterStore()
-        store.add("x", rng.standard_normal((2, 12, 2)))
+        store.add("x", rng.standard_normal((2, 12, 2)).transpose(0, 2, 1))
 
         def build(s):
-            summary = spectral.summarize(spectrum_from_windows_param(s["x"]))
+            summary = spectral.summarize(spectral.spectrum_of(s["x"]))
             return ad.vsum(ad.square(summary.chi))
-
-        def spectrum_from_windows_param(v):
-            return spectral.spectrum_of(v)
 
         err = ad.grad_check(build, store)
         assert err < 1e-6

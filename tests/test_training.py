@@ -180,6 +180,7 @@ class TestFit:
         for name, arr in r1.best_state.items():
             assert arr.tobytes() == r2.best_state[name].tobytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # training diverges on purpose
     def test_divergence_aborts_and_keeps_finite_state(self):
         # a catastrophic learning rate overflows the forward pass within a
         # couple of steps; fit must stop and restore the best finite state
