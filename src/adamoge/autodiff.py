@@ -1,11 +1,13 @@
 """Minimal dense-array reverse-mode differentiation on float64 numpy arrays.
 
-Complex quantities are carried as real variables, either as (re, im) pairs
-or as one array packed ``[re | im]`` along its last axis, so every gradient
-buffer is real and finite-difference checks apply uniformly.  A
-:class:`Tape` records primitive applications in order; ``Tape.backward``
-replays their adjoints in reverse.  When no tape is active the same ops run
-value-only, which is the inference path.
+Complex quantities are carried in one format: a real array packed
+``[re | im]`` along its last axis, so every gradient buffer is real and
+finite-difference checks apply uniformly.  ``rfft_op`` and ``irfft_op`` are
+the only places that convert between it and the (re, im) pairs of
+:mod:`fourier`.  A :class:`Tape` records primitive applications in order,
+one output Variable per node; ``Tape.backward`` replays their adjoints in
+reverse.  When no tape is active the same ops run value-only, which is the
+inference path.
 """
 
 from __future__ import annotations
@@ -123,11 +125,11 @@ class ParameterStore:
 
 
 class _Node:
-    __slots__ = ("inputs", "outputs", "bwd")
+    __slots__ = ("inputs", "output", "bwd")
 
-    def __init__(self, inputs, outputs, bwd):
+    def __init__(self, inputs, output, bwd):
         self.inputs = inputs
-        self.outputs = outputs
+        self.output = output
         self.bwd = bwd
 
 
@@ -157,24 +159,18 @@ class Tape:
             raise ValueError("backward expects a scalar loss")
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self._nodes):
-            if all(o.grad is None for o in node.outputs):
+            if node.output.grad is None:
                 continue
-            outgrads = tuple(
-                o.grad if o.grad is not None else np.zeros_like(o.value)
-                for o in node.outputs
-            )
-            ingrads = node.bwd(*outgrads)
+            ingrads = node.bwd(node.output.grad)
             for var, g in zip(node.inputs, ingrads):
-                if g is None:
-                    continue
                 if var.grad is None:
                     var.grad = np.zeros_like(var.value)
                 var.grad += g
 
 
-def _record(inputs: Sequence[Variable], outputs: Sequence[Variable], bwd: Callable):
+def _record(inputs: Sequence[Variable], out: Variable, bwd: Callable):
     if _TAPES:
-        _TAPES[-1]._nodes.append(_Node(tuple(inputs), tuple(outputs), bwd))
+        _TAPES[-1]._nodes.append(_Node(tuple(inputs), out, bwd))
 
 
 def as_variable(x) -> Variable:
@@ -202,7 +198,7 @@ def add(a, b) -> Variable:
     out = Variable(a.value + b.value)
     _record(
         (a, b),
-        (out,),
+        out,
         lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)),
     )
     return out
@@ -213,7 +209,7 @@ def sub(a, b) -> Variable:
     out = Variable(a.value - b.value)
     _record(
         (a, b),
-        (out,),
+        out,
         lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)),
     )
     return out
@@ -224,7 +220,7 @@ def mul(a, b) -> Variable:
     out = Variable(a.value * b.value)
     _record(
         (a, b),
-        (out,),
+        out,
         lambda g: (
             _unbroadcast(g * b.value, a.value.shape),
             _unbroadcast(g * a.value, b.value.shape),
@@ -238,7 +234,7 @@ def div(a, b) -> Variable:
     out = Variable(a.value / b.value)
     _record(
         (a, b),
-        (out,),
+        out,
         lambda g: (
             _unbroadcast(g / b.value, a.value.shape),
             _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
@@ -250,14 +246,14 @@ def div(a, b) -> Variable:
 def square(a) -> Variable:
     a = as_variable(a)
     out = Variable(a.value * a.value)
-    _record((a,), (out,), lambda g: (2.0 * a.value * g,))
+    _record((a,), out, lambda g: (2.0 * a.value * g,))
     return out
 
 
 def exp(a) -> Variable:
     a = as_variable(a)
     out = Variable(np.exp(a.value))
-    _record((a,), (out,), lambda g: (g * out.value,))
+    _record((a,), out, lambda g: (g * out.value,))
     return out
 
 
@@ -265,14 +261,14 @@ def absval(a) -> Variable:
     """|a| with subgradient 0 at 0."""
     a = as_variable(a)
     out = Variable(np.abs(a.value))
-    _record((a,), (out,), lambda g: (g * np.sign(a.value),))
+    _record((a,), out, lambda g: (g * np.sign(a.value),))
     return out
 
 
 def relu(a) -> Variable:
     a = as_variable(a)
     out = Variable(np.maximum(a.value, 0.0))
-    _record((a,), (out,), lambda g: (g * (a.value > 0.0),))
+    _record((a,), out, lambda g: (g * (a.value > 0.0),))
     return out
 
 
@@ -280,7 +276,7 @@ def sigmoid(a) -> Variable:
     a = as_variable(a)
     s = 1.0 / (1.0 + np.exp(-a.value))
     out = Variable(s)
-    _record((a,), (out,), lambda g: (g * s * (1.0 - s),))
+    _record((a,), out, lambda g: (g * s * (1.0 - s),))
     return out
 
 
@@ -289,7 +285,7 @@ def clamp(a, lo: float, hi: float) -> Variable:
     a = as_variable(a)
     out = Variable(np.clip(a.value, lo, hi))
     inside = (a.value > lo) & (a.value < hi)
-    _record((a,), (out,), lambda g: (g * inside,))
+    _record((a,), out, lambda g: (g * inside,))
     return out
 
 
@@ -299,7 +295,7 @@ def clamp(a, lo: float, hi: float) -> Variable:
 def reshape(a, shape) -> Variable:
     a = as_variable(a)
     out = Variable(a.value.reshape(shape))
-    _record((a,), (out,), lambda g: (g.reshape(a.value.shape),))
+    _record((a,), out, lambda g: (g.reshape(a.value.shape),))
     return out
 
 
@@ -308,7 +304,7 @@ def transpose(a, axes) -> Variable:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = Variable(np.ascontiguousarray(a.value.transpose(axes)))
-    _record((a,), (out,), lambda g: (np.ascontiguousarray(g.transpose(inv)),))
+    _record((a,), out, lambda g: (np.ascontiguousarray(g.transpose(inv)),))
     return out
 
 
@@ -324,7 +320,7 @@ def concat(parts: Iterable, axis: int) -> Variable:
     def bwd(g):
         return tuple(np.ascontiguousarray(c) for c in np.split(g, splits, axis=axis))
 
-    _record(parts, (out,), bwd)
+    _record(parts, out, bwd)
     return out
 
 
@@ -337,7 +333,7 @@ def vsum(a, axis=None, keepdims: bool = False) -> Variable:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.value.shape).copy(),)
 
-    _record((a,), (out,), bwd)
+    _record((a,), out, bwd)
     return out
 
 
@@ -368,7 +364,7 @@ def linear(x, w, b=None) -> Variable:
             return gx, gw
         return gx, gw, g.sum(axis=0)
 
-    _record((x, w) if b is None else (x, w, b), (out,), bwd)
+    _record((x, w) if b is None else (x, w, b), out, bwd)
     return out
 
 
@@ -383,46 +379,49 @@ def softmax(a, axis: int = -1) -> Variable:
         dot = (g * p).sum(axis=axis, keepdims=True)
         return (p * (g - dot),)
 
-    _record((a,), (out,), bwd)
+    _record((a,), out, bwd)
     return out
 
 
 # --- complex helpers ----------------------------------------------------------
 
 
-def magnitude(re, im) -> Variable:
-    """Elementwise sqrt(re^2 + im^2); subgradient 0 at the origin."""
-    re, im = as_variable(re), as_variable(im)
-    mag = np.hypot(re.value, im.value)
+def magnitude(spec) -> Variable:
+    """Elementwise |z| of a spectrum packed ``[re | im]`` along its last
+    axis; subgradient 0 at the origin."""
+    spec = as_variable(spec)
+    f = spec.value.shape[-1] // 2
+    re, im = spec.value[..., :f], spec.value[..., f:]
+    mag = np.hypot(re, im)
     out = Variable(mag)
 
     def bwd(g):
         scale = np.zeros_like(mag)
         np.divide(g, mag, out=scale, where=mag > 0.0)
-        return scale * re.value, scale * im.value
+        return (np.concatenate([scale * re, scale * im], axis=-1),)
 
-    _record((re, im), (out,), bwd)
+    _record((spec,), out, bwd)
     return out
 
 
-def complex_expert_map(xre, xim, wre, wim, bre, bim) -> Variable:
+def complex_expert_map(x, wre, wim, bre, bim) -> Variable:
     """Per-expert complex affine map on stacked sub-band spectra.
 
-    x: (B, E, V, F) pair, w: (E, O, F) pair, b: (E, O) pair
-    -> y: (B, E, V, 2*O) with y[b,e,v] = w[e] @ x[b,e,v] + b[e], packed
-    ``[re | im]`` along the last axis.
+    x: (B, E, V, 2*F) packed ``[re | im]``, w: (E, O, F) pair, b: (E, O) pair
+    -> y: (B, E, V, 2*O) with y[b,e,v] = w[e] @ x[b,e,v] + b[e], packed the
+    same way.
     """
-    xre, xim = as_variable(xre), as_variable(xim)
+    x = as_variable(x)
     wre, wim = as_variable(wre), as_variable(wim)
     bre, bim = as_variable(bre), as_variable(bim)
-    bdim, edim, vdim, fdim = xre.value.shape
-    odim = wre.value.shape[1]
-    x = xre.value + 1j * xim.value
+    bdim, edim, vdim = x.value.shape[:3]
+    odim, fdim = wre.value.shape[1:]
+    xc = x.value[..., :fdim] + 1j * x.value[..., fdim:]
     w = wre.value + 1j * wim.value
     bias = bre.value + 1j * bim.value
     y = np.empty((bdim, edim, vdim, 2 * odim))
     for e in range(edim):
-        ye = (x[:, e].reshape(-1, fdim) @ w[e].T).reshape(bdim, vdim, odim) + bias[e]
+        ye = (xc[:, e].reshape(-1, fdim) @ w[e].T).reshape(bdim, vdim, odim) + bias[e]
         y[:, e, :, :odim] = ye.real
         y[:, e, :, odim:] = ye.imag
     out = Variable(y)
@@ -430,43 +429,45 @@ def complex_expert_map(xre, xim, wre, wim, bre, bim) -> Variable:
     def bwd(gy):
         g = np.empty((bdim, edim, vdim, odim), dtype=np.complex128)
         g.real, g.imag = gy[..., :odim], gy[..., odim:]
-        gx = np.empty_like(x)
+        gx = np.empty_like(x.value)
         gw = np.empty_like(w)
         for e in range(edim):
             ge = g[:, e].reshape(-1, odim)
-            gx[:, e] = (ge @ np.conj(w[e])).reshape(bdim, vdim, fdim)
-            gw[e] = ge.T @ np.conj(x[:, e].reshape(-1, fdim))
+            gxe = (ge @ np.conj(w[e])).reshape(bdim, vdim, fdim)
+            gx[:, e, :, :fdim] = gxe.real
+            gx[:, e, :, fdim:] = gxe.imag
+            gw[e] = ge.T @ np.conj(xc[:, e].reshape(-1, fdim))
         gb = g.sum(axis=(0, 2))
         return (
-            np.ascontiguousarray(gx.real),
-            np.ascontiguousarray(gx.imag),
+            gx,
             np.ascontiguousarray(gw.real),
             np.ascontiguousarray(gw.imag),
             np.ascontiguousarray(gb.real),
             np.ascontiguousarray(gb.imag),
         )
 
-    _record((xre, xim, wre, wim, bre, bim), (out,), bwd)
+    _record((x, wre, wim, bre, bim), out, bwd)
     return out
 
 
 # --- FFT primitives -----------------------------------------------------------
 
 
-def rfft_op(x) -> tuple[Variable, Variable]:
+def rfft_op(x) -> Variable:
     """Half-spectrum transform along the last axis as one differentiable
-    primitive; the adjoint is a rescaled inverse transform."""
+    primitive, packed ``[re | im]`` (2 * (n//2 + 1) values per row); the
+    adjoint is a rescaled inverse transform."""
     x = as_variable(x)
     n = x.value.shape[-1]
-    re, im = fourier.rfft(x.value)
-    out_re, out_im = Variable(re), Variable(im)
+    f = fourier.half_bins(n)
+    out = Variable(np.concatenate(fourier.rfft(x.value), axis=-1))
     inv_w = 1.0 / fourier.half_weights(n)
 
-    def bwd(gre, gim):
-        return (n * fourier.irfft(gre * inv_w, gim * inv_w, n),)
+    def bwd(g):
+        return (n * fourier.irfft(g[..., :f] * inv_w, g[..., f:] * inv_w, n),)
 
-    _record((x,), (out_re, out_im), bwd)
-    return out_re, out_im
+    _record((x,), out, bwd)
+    return out
 
 
 def irfft_op(spec, n: int) -> Variable:
@@ -479,12 +480,9 @@ def irfft_op(spec, n: int) -> Variable:
 
     def bwd(g):
         gre, gim = fourier.rfft(g)
-        gs = np.empty_like(spec.value)
-        np.multiply(gre, w, out=gs[..., :f])
-        np.multiply(gim, w, out=gs[..., f:])
-        return (gs,)
+        return (np.concatenate([gre * w, gim * w], axis=-1),)
 
-    _record((spec,), (out,), bwd)
+    _record((spec,), out, bwd)
     return out
 
 
@@ -507,7 +505,7 @@ def masked_weighted_sum(y, w, mask: np.ndarray) -> Variable:
         gw = np.where(mask, (y.value * ge).sum(axis=tuple(range(2, y.value.ndim))), 0.0)
         return gy, gw
 
-    _record((y, w), (out,), bwd)
+    _record((y, w), out, bwd)
     return out
 
 

@@ -108,6 +108,15 @@ def build_model(cfg: RunConfig, variables: int) -> tuple[ParameterStore, AdaMoGe
     return store, model
 
 
+def _make_out_dir(cfg: RunConfig) -> str:
+    out_dir = cfg.output.dir
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.dir {out_dir!r} cannot be created: {exc}") from None
+    return out_dir
+
+
 def _write_report(out_dir: str, report: EvalReport) -> None:
     with ckpt.atomic_open(os.path.join(out_dir, "report.json")) as fh:
         fh.write(report.to_json() + "\n")
@@ -115,27 +124,24 @@ def _write_report(out_dir: str, report: EvalReport) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n" + report.csv_row() + "\n")
 
 
-def _require_finite(report: EvalReport) -> None:
-    """Refuse to write anything for a model whose test metrics are non-finite."""
-    if not np.isfinite([report.mse, report.mae]).all():
-        raise NumericError(
-            f"non-finite test metrics (mse={report.mse}, mae={report.mae}); nothing written"
-        )
+def _require_finite(what: str, *values) -> None:
+    """Refuse to write anything when a value bound for the output is non-finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NumericError(f"non-finite {what}; nothing written")
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     ds = load_dataset(cfg)
-    out_dir = cfg.output.dir
     if args.grid:
-        return _train_grid(cfg, ds, out_dir)
+        return _train_grid(cfg, ds)
     store, model = build_model(cfg, ds.values.shape[1])
     fp = cfgmod.fingerprint(cfg)
     result = fit(model, ds, cfg.train, fingerprint=fp, log=lambda msg: print(msg))
     if result.diverged:
         print("warning: training diverged; best finite parameters retained", file=sys.stderr)
-    _require_finite(result.report)
-    os.makedirs(out_dir, exist_ok=True)
+    _require_finite("test metrics", result.report.mse, result.report.mae)
+    out_dir = _make_out_dir(cfg)
     ckpt.save(os.path.join(out_dir, CHECKPOINT_NAME), store, fp)
     with ckpt.atomic_open(os.path.join(out_dir, CONFIG_NAME)) as fh:
         fh.write(cfgmod.render(cfg))
@@ -146,7 +152,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _train_grid(cfg: RunConfig, ds, out_dir: str) -> int:
+def _train_grid(cfg: RunConfig, ds) -> int:
     def combo_config(combo) -> RunConfig:
         ccfg = copy.deepcopy(cfg)
         ccfg.model.e_max = combo["e_max"]
@@ -160,8 +166,8 @@ def _train_grid(cfg: RunConfig, ds, out_dir: str) -> int:
     result = grid_search(
         ds, cfg.train, build, fingerprint_for=lambda c: cfgmod.fingerprint(combo_config(c))
     )
-    _require_finite(result.winner_report)
-    os.makedirs(out_dir, exist_ok=True)
+    _require_finite("test metrics", result.winner_report.mse, result.winner_report.mae)
+    out_dir = _make_out_dir(cfg)
     with ckpt.atomic_open(os.path.join(out_dir, "grid_summary.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["e_max", "depth", "feature_dim", "val_mse", "params", "seconds", "epochs"])
@@ -204,9 +210,8 @@ def cmd_eval(args) -> int:
         dataset=ds.name, horizon=model.horizon, mse=mse, mae=mae,
         params=model.parameter_count(), seconds=0.0, fingerprint=fp,
     )
-    _require_finite(report)
-    out_dir = cfg.output.dir
-    os.makedirs(out_dir, exist_ok=True)
+    _require_finite("test metrics", report.mse, report.mae)
+    out_dir = _make_out_dir(cfg)
     _write_report(out_dir, report)
     print(report.to_json())
     return 0
@@ -225,10 +230,8 @@ def cmd_predict(args) -> int:
     forecast = model.predict(window[None])[0]
     history_raw = datamod.denormalize(window, ds.stats)
     forecast_raw = datamod.denormalize(forecast, ds.stats)
-    if not np.isfinite(forecast_raw).all():
-        raise NumericError("forecast has non-finite values; no forecast written")
-    out_dir = cfg.output.dir
-    os.makedirs(out_dir, exist_ok=True)
+    _require_finite("forecast", forecast_raw)
+    out_dir = _make_out_dir(cfg)
     path = os.path.join(out_dir, "forecast.csv")
     with ckpt.atomic_open(path) as fh:
         writer = csv.writer(fh)
@@ -293,8 +296,11 @@ def cmd_inspect_spectrum(args) -> int:
     window = ds.values[args.origin : args.origin + lookback]
     diag: list[BlockDiagnostics] = []
     model.forward(Variable(window[None]), diag)
-    out_dir = cfg.output.dir
-    os.makedirs(out_dir, exist_ok=True)
+    for d in diag:
+        _require_finite("spectrum inspection", d.mu, d.e, d.passbands, d.sigmas, d.responses,
+                        d.probabilities, d.decision.weights.value,
+                        [] if d.k_hat is None else d.k_hat)
+    out_dir = _make_out_dir(cfg)
     _write_inspection(out_dir, diag, ds.names)
     for bi, d in enumerate(diag):
         sel = d.decision.indices(0).tolist()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 from .fourier import MAX_LENGTH
@@ -144,36 +145,26 @@ def _value(cfg: RunConfig, key: str):
 
 def validate(cfg: RunConfig, grid: bool = False) -> RunConfig:
     """Reject values no run can use, naming the key, before anything is loaded
-    or written.  With ``grid`` the fixed expert count must suit every
+    or written.  With ``grid`` the model section must suit every
     ``train.grid.e_max`` of the sweep instead of ``model.e_max``."""
     for key in ("data.lookback", "data.horizon"):
         if not 2 <= _value(cfg, key) <= MAX_LENGTH:
             raise ConfigError(f"{key} must lie in [2, {MAX_LENGTH}], got {_value(cfg, key)}")
-    for key in ("model.e_max", "model.depth", "model.feature_dim"):
-        if _value(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {_value(cfg, key)}")
     for key, (_, _, parser) in _SCHEMA.items():
         if parser is float and not math.isfinite(_value(cfg, key)):
             raise ConfigError(f"{key} must be finite, got {_value(cfg, key)}")
         if parser is str and "\0" in _value(cfg, key):
             raise ConfigError(f"{key} contains a NUL character")
-    # filter-bank bandwidths: 0 means "derive from the lookback" for sigma0
-    # and sigma_max; sigma must stay positive and alpha must let it adapt
-    for key in ("model.sigma_min", "model.alpha"):
-        if _value(cfg, key) <= 0.0:
-            raise ConfigError(f"{key} must be > 0, got {_value(cfg, key)}")
-    for key in ("model.sigma0", "model.sigma_max"):
-        if _value(cfg, key) < 0.0:
-            raise ConfigError(f"{key} must be >= 0 (0 = auto), got {_value(cfg, key)}")
-    sigma_max = cfg.model.sigma_max or (cfg.data.lookback // 2) / 2.0
-    if sigma_max < cfg.model.sigma_min:
-        raise ConfigError(f"model.sigma_max {sigma_max} is below model.sigma_min "
-                          f"{cfg.model.sigma_min} (sigma_max 0 means (lookback // 2) / 2)")
+    # output.dir, or else its nearest existing ancestor, must be a directory
+    probe = os.path.abspath(cfg.output.dir)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"output.dir {cfg.output.dir!r}: {probe!r} is not a directory")
     try:
         cfg.train.validate()
-        if not cfg.model.adaptive_k:
-            for e_max in cfg.train.grid_e_max if grid else (cfg.model.e_max,):
-                replace(cfg.model, e_max=e_max).resolved_fixed_k()
+        for e_max in cfg.train.grid_e_max if grid else (cfg.model.e_max,):
+            replace(cfg.model, e_max=e_max).validate(cfg.data.lookback)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg

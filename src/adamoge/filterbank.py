@@ -23,7 +23,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Variable
-from .spectral import SpectrumBatch
 
 SIGMA_MIN_DEFAULT = 0.5
 
@@ -62,19 +61,6 @@ def dog_response(f1, f2, sigma, freqs) -> np.ndarray:
     return np.exp(-0.5 * lo * lo) - np.exp(-0.5 * hi * hi)
 
 
-def adaptive_sigma(
-    sigma0: float,
-    alpha: float,
-    center: np.ndarray,
-    mean_power: np.ndarray,
-    sigma_min: float,
-    sigma_max: float,
-) -> np.ndarray:
-    """Per-sample bandwidth sigma0 * (alpha / center) * mean|X|^2, clamped."""
-    raw = sigma0 * alpha * mean_power[..., None] / center
-    return np.clip(raw, sigma_min, sigma_max)
-
-
 @dataclass
 class BankPass:
     """The Variables of one evaluation of the bank on a spectrum.
@@ -104,10 +90,10 @@ class FilterBank:
         prefix: str,
         e_max: int,
         bins: int,
-        sigma0: float | None = None,
+        sigma0: float = 0.0,  # 0 -> f_nyq / (2 e_max)
         alpha: float = 1.0,
         sigma_min: float = SIGMA_MIN_DEFAULT,
-        sigma_max: float | None = None,
+        sigma_max: float = 0.0,  # 0 -> f_nyq / 2
         mode: str = "dog",
         family: str = "gaussian",
     ):
@@ -120,10 +106,10 @@ class FilterBank:
         self.e_max = e_max
         self.bins = bins
         self.f_nyq = float(bins - 1)
-        self.sigma0 = self.f_nyq / (2.0 * e_max) if sigma0 is None else float(sigma0)
+        self.sigma0 = float(sigma0) or self.f_nyq / (2.0 * e_max)
         self.alpha = float(alpha)
         self.sigma_min = float(sigma_min)
-        self.sigma_max = self.f_nyq / 2.0 if sigma_max is None else float(sigma_max)
+        self.sigma_max = float(sigma_max) or self.f_nyq / 2.0
         self.mode = mode
         self.family = family
         self._freqs = np.arange(bins, dtype=np.float64)
@@ -163,22 +149,24 @@ class FilterBank:
         """(E, 2) array of current [f1, f2] in bin units."""
         return np.stack([f.value for f in self.cutoffs()], axis=1)
 
-    def evaluate(self, spec: SpectrumBatch) -> BankPass:
-        """Cutoffs, per-sample bandwidths and responses from one cutoffs() call.
+    def evaluate(self, spec: Variable) -> BankPass:
+        """Cutoffs, per-sample bandwidths and responses from one cutoffs() call
+        on a (B, V, 2F) spectrum packed ``[re | im]``.
 
         sigma = clamp(sigma0 * alpha * mean|X|^2 / centre), the mean taken over
         every bin of every variable of a sample.
         """
-        if spec.bins != self.bins:
-            raise ValueError(f"spectrum has {spec.bins} bins, bank expects {self.bins}")
-        b = spec.batch
+        b, v, packed = spec.value.shape
+        if packed != 2 * self.bins:
+            raise ValueError(f"spectrum has {packed // 2} bins, bank expects {self.bins}")
         f1, f2 = self.cutoffs()
         if self.family == "truncation":
             zeros = Variable(np.zeros((b, self.e_max)))
             h = Variable(np.broadcast_to(self._masks, (b, self.e_max, self.bins)).copy())
             return BankPass(f1, f2, zeros, zeros, h)
         center = (f1 + f2) * 0.5
-        power = ad.square(spec.re) + ad.square(spec.im)
+        # |X|^2 per bin (re^2 + im^2) before the mean over (V, F)
+        power = ad.vsum(ad.reshape(ad.square(spec), (b, v, 2, self.bins)), axis=2)
         mp = ad.reshape(ad.vmean(power, axis=(1, 2)), (-1, 1))
         raw = mp * (self.sigma0 * self.alpha) / ad.reshape(center, (1, -1))
         sigma = ad.clamp(raw, self.sigma_min, self.sigma_max)
@@ -192,11 +180,11 @@ class FilterBank:
             h = ad.absval(h)
         return BankPass(f1, f2, raw, sigma, h)
 
-    def apply(self, spec: SpectrumBatch) -> tuple[Variable, Variable, BankPass]:
-        """Sub-band spectra (B, E, V, F), the input spectrum times each
-        response, and the bank pass that produced the responses."""
+    def apply(self, spec: Variable) -> tuple[Variable, BankPass]:
+        """Sub-band spectra (B, E, V, 2F) packed ``[re | im]``: the input
+        spectrum times each real response, applied to both halves by one
+        product; and the bank pass that produced the responses."""
         bp = self.evaluate(spec)
-        hexp = ad.reshape(bp.h, (spec.batch, self.e_max, 1, self.bins))
-        xre = ad.reshape(spec.re, (spec.batch, 1, spec.variables, self.bins))
-        xim = ad.reshape(spec.im, (spec.batch, 1, spec.variables, self.bins))
-        return xre * hexp, xim * hexp, bp
+        b, v, packed = spec.value.shape
+        hexp = ad.reshape(ad.concat([bp.h, bp.h], axis=2), (b, self.e_max, 1, packed))
+        return ad.reshape(spec, (b, 1, v, packed)) * hexp, bp

@@ -50,6 +50,27 @@ class ModelConfig:
     sigma_min: float = 0.5
     sigma_max: float = 0.0  # 0 -> f_nyq / 2
 
+    def validate(self, lookback: int) -> None:
+        """Raise ValueError naming the first ``model.*`` key that no model
+        over a ``lookback``-step window can use."""
+        for name in ("e_max", "depth", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"model.{name} must be >= 1, got {getattr(self, name)}")
+        # filter-bank bandwidths: 0 means "derive from the lookback" for sigma0
+        # and sigma_max; sigma must stay positive and alpha must let it adapt
+        for name in ("sigma_min", "alpha"):
+            if not getattr(self, name) > 0.0:  # NaN fails too
+                raise ValueError(f"model.{name} must be > 0, got {getattr(self, name)}")
+        for name in ("sigma0", "sigma_max"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"model.{name} must be >= 0 (0 = auto), got {getattr(self, name)}")
+        sigma_max = self.sigma_max or (lookback // 2) / 2.0
+        if sigma_max < self.sigma_min:
+            raise ValueError(f"model.sigma_max {sigma_max} is below model.sigma_min "
+                             f"{self.sigma_min} (sigma_max 0 means (lookback // 2) / 2)")
+        if not self.adaptive_k:
+            self.resolved_fixed_k()
+
     def resolved_fixed_k(self) -> int:
         k = self.fixed_k if self.fixed_k > 0 else (self.e_max + 1) // 2
         if not 1 <= k <= self.e_max:
@@ -132,16 +153,15 @@ class AdaMoGeBlock:
         self.bins = half_bins(in_len)
         self.out_bins = half_bins(out_len)
         self.e_max = cfg.e_max
-        f_nyq = float(self.bins - 1)
         self.bank = FilterBank(
             store,
             f"{prefix}.bank",
             e_max=cfg.e_max,
             bins=self.bins,
-            sigma0=cfg.sigma0 if cfg.sigma0 > 0 else None,
+            sigma0=cfg.sigma0,
             alpha=cfg.alpha,
             sigma_min=cfg.sigma_min,
-            sigma_max=cfg.sigma_max if cfg.sigma_max > 0 else None,
+            sigma_max=cfg.sigma_max,
             mode=cfg.filter_mode,
             family=cfg.filter_family,
         )
@@ -179,10 +199,11 @@ class AdaMoGeBlock:
             k_hat, k = None, np.full(p.value.shape[0], self.cfg.resolved_fixed_k(), np.int64)
         return select_topk(p, k), k_hat, p
 
-    def experts_forward(self, sub_re: Variable, sub_im: Variable) -> Variable:
-        """All experts on their sub-bands -> output half spectra, shape
-        (B, E, V, 2 * out_bins), packed ``[re | im]``; not yet inverted."""
-        return ad.complex_expert_map(sub_re, sub_im, self.ewre, self.ewim, self.ebre, self.ebim)
+    def experts_forward(self, sub: Variable) -> Variable:
+        """All experts on their (B, E, V, 2 * bins) sub-bands -> output half
+        spectra (B, E, V, 2 * out_bins), both packed ``[re | im]``; not yet
+        inverted."""
+        return ad.complex_expert_map(sub, self.ewre, self.ewim, self.ebre, self.ebim)
 
     def _ffn(self, y: Variable) -> Variable:
         b, v, t = y.value.shape
@@ -195,8 +216,8 @@ class AdaMoGeBlock:
         spec = spectrum_of(x)
         summary = summarize(spec)
         decision, k_hat, probs = self.gate_decision(summary.chi)
-        sub_re, sub_im, bp = self.bank.apply(spec)
-        expert_spec = self.experts_forward(sub_re, sub_im)
+        sub, bp = self.bank.apply(spec)
+        expert_spec = self.experts_forward(sub)
         # the inverse transform is linear, so the gate mixes the spectra and
         # each (B, V) row is inverted once
         spec_mix = ad.masked_weighted_sum(expert_spec, decision.weights, decision.mask)
@@ -252,8 +273,7 @@ class AdaMoGeModel:
         cfg: ModelConfig,
         seed: int = 0,
     ):
-        if cfg.depth < 1:
-            raise ValueError("depth must be >= 1")
+        cfg.validate(lookback)
         self.store = store
         self.lookback = lookback
         self.horizon = horizon

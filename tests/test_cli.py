@@ -42,15 +42,16 @@ def run_train(tmp_path, base_cfg, *extra):
     return code, out
 
 
-def nan_checkpoint(tmp_path, base_cfg):
-    """A fresh model with one NaN in its output bias, saved with its run.cfg."""
+def nan_checkpoint(tmp_path, base_cfg, param="b0.ffn.b2"):
+    """A fresh model with one NaN in ``param`` (default: its output bias),
+    saved with its run.cfg."""
     from adamoge import checkpoint as ckpt
     from adamoge import config as cfgmod
     from adamoge.cli import build_model
 
     cfg = cfgmod.parse_file(base_cfg)
     store, _ = build_model(cfg, 2)
-    store["b0.ffn.b2"].value[0] = np.nan
+    store[param].value[0] = np.nan
     out = tmp_path / "nan"
     out.mkdir()
     ckpt.save(str(out / "checkpoint.bin"), store, cfgmod.fingerprint(cfg))
@@ -410,6 +411,50 @@ class TestInspect:
         k = int(rows[0]["k"])
         k_hat = float(rows[0]["k_hat"])
         assert k == int(np.clip(np.rint(k_hat), 1, 3))
+
+
+    def test_nonfinite_diagnostics_exit_3_without_output(self, tmp_path, base_cfg, capsys):
+        path = nan_checkpoint(tmp_path, base_cfg, param="b0.bank.a")
+        code = main(["inspect-spectrum", path, "--out", str(tmp_path / "in")])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "in"))
+
+
+def command_args(command, base_cfg, checkpoint):
+    if command == "train":
+        return ["train", "--config", base_cfg]
+    if command == "predict":
+        return ["predict", checkpoint, "--origin", "100"]
+    return [command, checkpoint]
+
+
+class TestOutputDir:
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "inspect-spectrum"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_naming_a_file_exits_1(self, tmp_path, base_cfg, capsys, command, below):
+        # the NaN checkpoint would end eval and predict with exit 3: the
+        # output directory is checked before anything is read
+        path = nan_checkpoint(tmp_path, base_cfg)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        out = blocker / "sub" if below else blocker
+        code = main(command_args(command, base_cfg, path) + ["--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "output.dir" in err and "Traceback" not in err
+        assert blocker.read_text() == "keep"
+
+    def test_unwritable_out_exits_1(self, tmp_path, base_cfg, capsys, monkeypatch):
+        def refuse(path, exist_ok=False):
+            raise PermissionError(13, "Permission denied", path)
+
+        path = nan_checkpoint(tmp_path, base_cfg)
+        monkeypatch.setattr(os, "makedirs", refuse)
+        code = main(["inspect-spectrum", path, "--out", str(tmp_path / "ro")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "output.dir" in err and "Traceback" not in err
 
 
 class TestGridCli:

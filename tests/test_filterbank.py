@@ -60,19 +60,35 @@ class TestResponse:
             assert np.all(np.abs(h[far]) < 2e-8)
 
 
+def packed_spectrum(re, im):
+    """A (B, V, 2F) spectrum Variable packed ``[re | im]``."""
+    return Variable(np.concatenate([re, im], axis=-1))
+
+
 class TestAdaptiveSigma:
     def test_direct_substitution(self):
-        s = fb.adaptive_sigma(1.0, 1.0, np.array([2.0]), np.array([1.0]), 0.01, 100.0)
-        assert np.allclose(s, 0.5)
+        # |X|^2 = 1 in every bin: sigma = sigma0 * alpha * 1 / centre
+        _, bank = make_bank(e_max=3, bins=9, sigma0=1.0, alpha=1.0, sigma_min=0.01,
+                            sigma_max=100.0)
+        s = bank.evaluate(packed_spectrum(np.ones((1, 2, 9)), np.zeros((1, 2, 9)))).sigma.value
+        center = bank.passbands().mean(axis=1)
+        assert np.allclose(s, 1.0 / center[None, :])
 
     def test_zero_spectrum_clamps_to_min(self):
-        s = fb.adaptive_sigma(1.0, 1.0, np.array([2.0]), np.array([0.0]), 0.5, 24.0)
+        _, bank = make_bank(e_max=3, bins=9, sigma0=1.0, alpha=1.0, sigma_min=0.5,
+                            sigma_max=24.0)
+        s = bank.evaluate(packed_spectrum(np.zeros((2, 2, 9)), np.zeros((2, 2, 9)))).sigma.value
         assert np.all(s == 0.5)
 
     def test_inverse_proportional_to_center(self):
-        lo = fb.adaptive_sigma(1.0, 1.0, np.array([2.0]), np.array([3.0]), 1e-9, 1e9)
-        hi = fb.adaptive_sigma(1.0, 1.0, np.array([4.0]), np.array([3.0]), 1e-9, 1e9)
-        assert np.allclose(lo, 2.0 * hi)
+        # mean |X|^2 = 3: sigma * centre is the same for every filter
+        _, bank = make_bank(e_max=4, bins=9, sigma0=1.0, alpha=1.0, sigma_min=1e-9,
+                            sigma_max=1e9)
+        re = np.full((1, 2, 9), np.sqrt(3.0))
+        s = bank.evaluate(packed_spectrum(re, np.zeros_like(re))).sigma.value[0]
+        center = bank.passbands().mean(axis=1)
+        assert len(np.unique(center)) == 4
+        assert np.allclose(s * center, 3.0)
 
     def test_bank_sigma_always_inside_bounds(self):
         rng = np.random.default_rng(2)
@@ -126,27 +142,27 @@ class TestApply:
         rng = np.random.default_rng(4)
         _, bank = make_bank(e_max=1, bins=9, family="truncation")
         spec = random_spectrum(rng)
-        sre, sim, _ = bank.apply(spec)
-        assert np.array_equal(sre.value[:, 0], spec.re.value)
-        assert np.array_equal(sim.value[:, 0], spec.im.value)
+        sub, _ = bank.apply(spec)
+        assert np.array_equal(sub.value[:, 0, :, :9], spec.value[..., :9])
+        assert np.array_equal(sub.value[:, 0, :, 9:], spec.value[..., 9:])
 
     def test_zero_stub_is_zero(self):
         rng = np.random.default_rng(5)
         _, bank = make_bank(e_max=2, bins=9, family="truncation")
         bank._masks[...] = 0.0
         spec = random_spectrum(rng)
-        sre, sim, _ = bank.apply(spec)
-        assert np.all(sre.value == 0.0) and np.all(sim.value == 0.0)
+        sub, _ = bank.apply(spec)
+        assert np.all(sub.value[..., :9] == 0.0) and np.all(sub.value[..., 9:] == 0.0)
 
     def test_matches_per_bin_oracle(self):
         rng = np.random.default_rng(6)
         store, bank = make_bank(e_max=1, bins=9)
         spec = random_spectrum(rng, b=1, l=16, v=1)
-        sre, sim, bp = bank.apply(spec)
+        sub, bp = bank.apply(spec)
         h = bp.h.value
         for f in range(9):
-            assert abs(sre.value[0, 0, 0, f] - spec.re.value[0, 0, f] * h[0, 0, f]) < 1e-12
-            assert abs(sim.value[0, 0, 0, f] - spec.im.value[0, 0, f] * h[0, 0, f]) < 1e-12
+            assert abs(sub.value[0, 0, 0, f] - spec.value[0, 0, f] * h[0, 0, f]) < 1e-12
+            assert abs(sub.value[0, 0, 0, 9 + f] - spec.value[0, 0, 9 + f] * h[0, 0, f]) < 1e-12
 
     def test_bin_mismatch_rejected(self):
         rng = np.random.default_rng(7)
@@ -161,7 +177,7 @@ class TestApply:
         h = bank.evaluate(spec).h.value
         bands = bank.passbands()
         sig = bank.evaluate(spec).sigma.value
-        for b in range(spec.batch):
+        for b in range(spec.value.shape[0]):
             want = fb.dog_response(
                 bands[:, 0], bands[:, 1], sig[b], np.arange(9.0)
             )
@@ -186,8 +202,8 @@ class TestGradients:
 
         def build(s):
             spec = spectrum_of(s["x"])
-            sre, sim, _ = bank.apply(spec)
-            return ad.vsum(ad.square(sre)) + ad.vsum(ad.square(sim))
+            sub, _ = bank.apply(spec)
+            return ad.vsum(ad.square(sub))
 
         # verify sigma sits strictly inside the clamp so the check is smooth
         sig = bank.evaluate(spectrum_of(store["x"])).sigma.value

@@ -259,8 +259,8 @@ class TestForward:
         from adamoge.spectral import spectrum_of
 
         spec = spectrum_of(Variable(x.transpose(0, 2, 1)))
-        sre, sim, _ = block.bank.apply(spec)
-        spectra = block.experts_forward(sre, sim).value
+        sub, _ = block.bank.apply(spec)
+        spectra = block.experts_forward(sub).value
         o = block.out_bins
         per_expert = fourier.irfft(spectra[..., :o], spectra[..., o:], block.out_len) * (
             block.out_len / block.in_len
@@ -337,15 +337,31 @@ class TestForward:
         with pytest.raises(ValueError):
             model.predict(np.zeros((1, 12, 2)))
 
+    # at lookback 96 the auto sigma_max is 24
+    @pytest.mark.parametrize("kw, key", [
+        ({"sigma_max": -1.0}, "model.sigma_max"),
+        ({"sigma0": -3.0}, "model.sigma0"),
+        ({"alpha": 0.0}, "model.alpha"),
+        ({"alpha": -1.0}, "model.alpha"),
+        ({"sigma_min": 0.0}, "model.sigma_min"),
+        ({"sigma_min": 30.0}, "model.sigma_min"),
+        ({"feature_dim": 0}, "model.feature_dim"),
+        ({"depth": 0}, "model.depth"),
+    ])
+    def test_bad_model_config_rejected_at_build(self, kw, key):
+        with pytest.raises(ValueError, match=key):
+            build_model(lookback=96, horizon=24, **kw)
+
 
 def separate_bank_evaluation(bank, spec):
     """(passbands, raw sigmas, sigmas, responses) from the bank's cutoffs and
     the numpy filter formulas, in the arithmetic order of the forward."""
     bands = bank.passbands()
+    batch = spec.value.shape[0]
     if bank.family == "truncation":
-        zeros = np.zeros((spec.batch, bank.e_max))
-        return bands, zeros, zeros, np.broadcast_to(bank._masks, (spec.batch,) + bank._masks.shape)
-    re, im = spec.re.value, spec.im.value
+        zeros = np.zeros((batch, bank.e_max))
+        return bands, zeros, zeros, np.broadcast_to(bank._masks, (batch,) + bank._masks.shape)
+    re, im = spec.value[..., :bank.bins], spec.value[..., bank.bins:]
     mp = (re * re + im * im).sum(axis=(1, 2)) * (1.0 / (re.shape[1] * re.shape[2]))
     center = (bands[:, 0] + bands[:, 1]) * 0.5
     raw = mp[:, None] * (bank.sigma0 * bank.alpha) / center[None, :]

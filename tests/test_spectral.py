@@ -12,6 +12,12 @@ def spectrum_from_windows(x):
     return spectral.spectrum_of(Variable(x.transpose(0, 2, 1)))
 
 
+def re_im(spec):
+    """The (re, im) halves of a spectrum packed ``[re | im]``."""
+    f = spec.value.shape[-1] // 2
+    return spec.value[..., :f], spec.value[..., f:]
+
+
 def loop_mu(re, im):
     b, v, f = re.shape
     out = np.zeros((b, f))
@@ -41,7 +47,7 @@ class TestCrossVariableResponse:
         x = np.random.default_rng(0).standard_normal((2, 8, 1))
         spec = spectrum_from_windows(x)
         mu = spectral.summarize(spec).mu
-        mag = np.hypot(spec.re.value, spec.im.value)[:, 0, :]
+        mag = np.hypot(*re_im(spec))[:, 0, :]
         assert np.allclose(mu.value, mag, atol=1e-14)
 
     def test_mean_of_two_dc_spectra(self):
@@ -56,7 +62,7 @@ class TestCrossVariableResponse:
         x = np.random.default_rng(1).standard_normal((2, 8, 3))
         spec = spectrum_from_windows(x)
         mu = spectral.summarize(spec).mu
-        want = loop_mu(spec.re.value, spec.im.value)
+        want = loop_mu(*re_im(spec))
         assert np.max(np.abs(mu.value - want)) < 1e-12
 
 
@@ -77,7 +83,7 @@ class TestSpectralIntensity:
         x = np.random.default_rng(2).standard_normal((3, 12, 2))
         spec = spectrum_from_windows(x)
         e = spectral.summarize(spec).e
-        want = loop_intensity(spec.re.value, spec.im.value)
+        want = loop_intensity(*re_im(spec))
         assert np.max(np.abs(e.value - want)) < 1e-12
 
 
@@ -87,7 +93,7 @@ class TestGateFeatures:
         x = np.random.default_rng(3).standard_normal((2, 10, 3))
         spec = spectrum_from_windows(x)
         chi = spectral.summarize(spec).chi
-        re, im = spec.re.value, spec.im.value
+        re, im = re_im(spec)
         want = np.concatenate([loop_mu(re, im), loop_intensity(re, im)], axis=1)
         assert np.max(np.abs(chi.value - want)) < 1e-12
 
