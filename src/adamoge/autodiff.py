@@ -4,10 +4,12 @@ Complex quantities are carried in one format: a real array packed
 ``[re | im]`` along its last axis, so every gradient buffer is real and
 finite-difference checks apply uniformly.  ``rfft_op`` and ``irfft_op`` are
 the only places that convert between it and the (re, im) pairs of
-:mod:`fourier`.  A :class:`Tape` records primitive applications in order,
-one output Variable per node; ``Tape.backward`` replays their adjoints in
-reverse.  When no tape is active the same ops run value-only, which is the
-inference path.
+:mod:`fourier`, and complex products (``magnitude``, ``complex_expert_map``)
+are written out in real arithmetic: no complex dtype is used anywhere.
+A :class:`Tape` records primitive applications in order, one output
+Variable per node; ``Tape.backward`` replays their adjoints in reverse.
+When no tape is active the same ops run value-only, which is the inference
+path.
 """
 
 from __future__ import annotations
@@ -310,15 +312,16 @@ def transpose(a, axes) -> Variable:
 
 def concat(parts: Iterable, axis: int) -> Variable:
     parts = [as_variable(p) for p in parts]
+    axis %= parts[0].value.ndim
     base = [p.value.shape[:axis] + p.value.shape[axis + 1 :] for p in parts]
     if len(set(base)) != 1:
         raise ValueError(f"concat shape mismatch: {[p.value.shape for p in parts]}")
     out = Variable(np.concatenate([p.value for p in parts], axis=axis))
-    sizes = [p.value.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    ends = np.cumsum([p.value.shape[axis] for p in parts]).tolist()
+    cuts = [(slice(None),) * axis + (slice(lo, hi),) for lo, hi in zip([0] + ends, ends)]
 
     def bwd(g):
-        return tuple(np.ascontiguousarray(c) for c in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(g[c]) for c in cuts)
 
     _record(parts, out, bwd)
     return out
@@ -409,42 +412,37 @@ def complex_expert_map(x, wre, wim, bre, bim) -> Variable:
 
     x: (B, E, V, 2*F) packed ``[re | im]``, w: (E, O, F) pair, b: (E, O) pair
     -> y: (B, E, V, 2*O) with y[b,e,v] = w[e] @ x[b,e,v] + b[e], packed the
-    same way.
+    same way.  In real arithmetic this is one GEMM per expert,
+    [yre | yim] = [xre | xim] @ M_e + [bre | bim], with the (2F, 2O) block
+    matrix M_e = [[wre^T, wim^T], [-wim^T, wre^T]] built on each call.
     """
     x = as_variable(x)
     wre, wim = as_variable(wre), as_variable(wim)
     bre, bim = as_variable(bre), as_variable(bim)
     bdim, edim, vdim = x.value.shape[:3]
     odim, fdim = wre.value.shape[1:]
-    xc = x.value[..., :fdim] + 1j * x.value[..., fdim:]
-    w = wre.value + 1j * wim.value
-    bias = bre.value + 1j * bim.value
+    m = np.empty((edim, 2 * fdim, 2 * odim))
+    m[:, :fdim, :odim] = m[:, fdim:, odim:] = wre.value.transpose(0, 2, 1)
+    m[:, :fdim, odim:] = wim.value.transpose(0, 2, 1)
+    np.negative(m[:, :fdim, odim:], out=m[:, fdim:, :odim])
+    bias = np.concatenate([bre.value, bim.value], axis=1)
     y = np.empty((bdim, edim, vdim, 2 * odim))
     for e in range(edim):
-        ye = (xc[:, e].reshape(-1, fdim) @ w[e].T).reshape(bdim, vdim, odim) + bias[e]
-        y[:, e, :, :odim] = ye.real
-        y[:, e, :, odim:] = ye.imag
+        ye = x.value[:, e].reshape(-1, 2 * fdim) @ m[e]
+        np.add(ye.reshape(bdim, vdim, 2 * odim), bias[e], out=y[:, e])
     out = Variable(y)
 
     def bwd(gy):
-        g = np.empty((bdim, edim, vdim, odim), dtype=np.complex128)
-        g.real, g.imag = gy[..., :odim], gy[..., odim:]
         gx = np.empty_like(x.value)
-        gw = np.empty_like(w)
+        gwre, gwim = np.empty_like(wre.value), np.empty_like(wim.value)
         for e in range(edim):
-            ge = g[:, e].reshape(-1, odim)
-            gxe = (ge @ np.conj(w[e])).reshape(bdim, vdim, fdim)
-            gx[:, e, :, :fdim] = gxe.real
-            gx[:, e, :, fdim:] = gxe.imag
-            gw[e] = ge.T @ np.conj(xc[:, e].reshape(-1, fdim))
-        gb = g.sum(axis=(0, 2))
-        return (
-            gx,
-            np.ascontiguousarray(gw.real),
-            np.ascontiguousarray(gw.imag),
-            np.ascontiguousarray(gb.real),
-            np.ascontiguousarray(gb.imag),
-        )
+            ge = gy[:, e].reshape(-1, 2 * odim)
+            gx[:, e] = (ge @ m[e].T).reshape(bdim, vdim, 2 * fdim)
+            gm = x.value[:, e].reshape(-1, 2 * fdim).T @ ge
+            gwre[e] = (gm[:fdim, :odim] + gm[fdim:, odim:]).T
+            gwim[e] = (gm[:fdim, odim:] - gm[fdim:, :odim]).T
+        gb = gy.sum(axis=(0, 2))
+        return gx, gwre, gwim, gb[:, :odim].copy(), gb[:, odim:].copy()
 
     _record((x, wre, wim, bre, bim), out, bwd)
     return out

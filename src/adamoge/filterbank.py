@@ -41,26 +41,6 @@ def _squash(t):
     return ad.sigmoid(t) * (1.0 - 2.0 * _SQUASH_EPS) + _SQUASH_EPS
 
 
-def dog_response(f1, f2, sigma, freqs) -> np.ndarray:
-    """Difference-of-Gaussians response at the given frequencies (bin units).
-
-    Vectorised over filters when f1/f2/sigma are arrays of matching shape;
-    ``freqs`` is broadcast against them on a trailing axis.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0.0):
-        raise ValueError("sigma must be positive")
-    f1 = np.asarray(f1, dtype=np.float64)
-    f2 = np.asarray(f2, dtype=np.float64)
-    freqs = np.asarray(freqs, dtype=np.float64)
-    center = (f1 + f2) / 2.0
-    half = (f2 - f1) / 2.0
-    d = freqs - center[..., None]
-    lo = (d + half[..., None]) / sigma[..., None]
-    hi = (d - half[..., None]) / sigma[..., None]
-    return np.exp(-0.5 * lo * lo) - np.exp(-0.5 * hi * hi)
-
-
 @dataclass
 class BankPass:
     """The Variables of one evaluation of the bank on a spectrum.
@@ -145,10 +125,6 @@ class FilterBank:
         f2 = f1 + (self.f_nyq - f1) * _squash(self.b)
         return f1, f2
 
-    def passbands(self) -> np.ndarray:
-        """(E, 2) array of current [f1, f2] in bin units."""
-        return np.stack([f.value for f in self.cutoffs()], axis=1)
-
     def evaluate(self, spec: Variable) -> BankPass:
         """Cutoffs, per-sample bandwidths and responses from one cutoffs() call
         on a (B, V, 2F) spectrum packed ``[re | im]``.
@@ -182,9 +158,10 @@ class FilterBank:
 
     def apply(self, spec: Variable) -> tuple[Variable, BankPass]:
         """Sub-band spectra (B, E, V, 2F) packed ``[re | im]``: the input
-        spectrum times each real response, applied to both halves by one
-        product; and the bank pass that produced the responses."""
+        spectrum times each real response, broadcast over both halves; and
+        the bank pass that produced the responses."""
         bp = self.evaluate(spec)
         b, v, packed = spec.value.shape
-        hexp = ad.reshape(ad.concat([bp.h, bp.h], axis=2), (b, self.e_max, 1, packed))
-        return ad.reshape(spec, (b, 1, v, packed)) * hexp, bp
+        f = self.bins
+        sub = ad.reshape(spec, (b, 1, v, 2, f)) * ad.reshape(bp.h, (b, self.e_max, 1, 1, f))
+        return ad.reshape(sub, (b, self.e_max, v, packed)), bp

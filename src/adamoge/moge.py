@@ -313,48 +313,3 @@ class AdaMoGeModel:
 
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.store)
-
-    def khead_parameter_names(self) -> list[str]:
-        """Parameters whose only path to the loss crosses the count-rounding
-        discontinuity (excluded from finite-difference checks)."""
-        names = []
-        for i in range(self.cfg.depth):
-            for leaf in ("w1", "b1", "w2", "b2"):
-                name = f"b{i}.gate.{leaf}"
-                if name in self.store:
-                    names.append(name)
-        return names
-
-
-def decision_margins(model: AdaMoGeModel, windows: np.ndarray) -> dict[str, float]:
-    """Distances of a forward pass from the model's discrete decision
-    boundaries; finite-difference harnesses require these to exceed the
-    perturbation scale.
-
-    Returns the minimum over blocks and samples of: ``round`` (gap between
-    k_hat and the nearest rounding threshold), ``topk`` (gap between the
-    lowest kept and highest dropped probability; inf when all experts are
-    kept) and ``sigma`` (gap between the adaptive bandwidth and its clamp
-    bounds; inf for the truncation family).
-    """
-    diag: list[BlockDiagnostics] = []
-    model.forward(Variable(windows), diag)
-    round_m, topk_m, sigma_m = np.inf, np.inf, np.inf
-    for block, d in zip(model.blocks, diag):
-        if d.k_hat is not None:
-            frac = np.abs(d.k_hat - np.floor(d.k_hat) - 0.5)
-            round_m = min(round_m, float(frac.min()))
-        p_sorted = np.sort(d.probabilities, axis=1)[:, ::-1]
-        for row, kk in enumerate(d.decision.k):
-            if kk < p_sorted.shape[1]:
-                topk_m = min(topk_m, float(p_sorted[row, kk - 1] - p_sorted[row, kk]))
-        if block.bank.family == "gaussian":
-            # distance of the raw bandwidth from either clamp edge: a value
-            # deep inside the clamp's flat region is as smooth as an interior
-            # one, only near-crossings are fragile
-            sigma_m = min(
-                sigma_m,
-                float(np.min(np.abs(d.raw_sigmas - block.bank.sigma_min))),
-                float(np.min(np.abs(d.raw_sigmas - block.bank.sigma_max))),
-            )
-    return {"round": round_m, "topk": topk_m, "sigma": sigma_m}

@@ -43,12 +43,6 @@ def sinusoid_table(
     return SeriesTable(hourly_timestamps(rows), values, names)
 
 
-def constant_table(rows: int, variables: int, value: float) -> SeriesTable:
-    values = np.full((rows, variables), value, dtype=np.float64)
-    names = [f"c{v}" for v in range(variables)]
-    return SeriesTable(hourly_timestamps(rows), values, names)
-
-
 def load_like_table(rows: int = 17420, variables: int = 7, seed: int = 0) -> SeriesTable:
     """Hourly load-style series: shared daily/half-day cycles, slow drift,
     AR(1) noise, and cross-variable coupling.  A stand-in for exercising the

@@ -198,20 +198,70 @@ class TestPrimitiveAdjoints:
         err = fd_check(build, params)
         assert err < 1e-6
 
+    @staticmethod
+    def _complex_map_case(rng, b=2, e=3, v=2, f=7, o=5):
+        """Complex input, weights and biases of an expert map with odd F != O."""
+
+        def crandn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        return crandn(b, e, v, f), crandn(e, o, f), crandn(e, o)
+
     def test_complex_expert_map_matches_loop_oracle(self):
         from oracles import complex_matvec
 
         rng = np.random.default_rng(15)
-        b, e, v, f, o = 1, 1, 1, 8, 4
-        x = rng.standard_normal((b, e, v, f)) + 1j * rng.standard_normal((b, e, v, f))
-        w = rng.standard_normal((e, o, f)) + 1j * rng.standard_normal((e, o, f))
+        x, w, bias = self._complex_map_case(rng)
+        o = w.shape[1]
         y = ad.complex_expert_map(
-            np.concatenate([x.real, x.imag], axis=-1), w.real, w.imag,
-            np.zeros((e, o)), np.zeros((e, o)),
+            np.concatenate([x.real, x.imag], axis=-1), w.real, w.imag, bias.real, bias.imag,
         ).value
-        want = complex_matvec(w[0].tolist(), x[0, 0, 0].tolist())
-        got = y[0, 0, 0, :o] + 1j * y[0, 0, 0, o:]
-        assert np.max(np.abs(got - np.array(want))) < 1e-10
+        for b, e, v in np.ndindex(x.shape[:3]):
+            want = np.array(complex_matvec(w[e].tolist(), x[b, e, v].tolist())) + bias[e]
+            got = y[b, e, v, :o] + 1j * y[b, e, v, o:]
+            assert np.max(np.abs(got - want)) < 1e-10, (b, e, v)
+
+    def test_complex_expert_map_gradients_match_complex_reference(self):
+        rng = np.random.default_rng(19)
+        x, w, bias = self._complex_map_case(rng)
+        o = w.shape[1]
+        store = make_store(wre=w.real, wim=w.imag, bre=bias.real, bim=bias.imag)
+        xv = Variable(np.concatenate([x.real, x.imag], axis=-1))
+        gy = rng.standard_normal(x.shape[:3] + (2 * o,))
+        with Tape() as tape:
+            y = ad.complex_expert_map(xv, *(store[n] for n in ("wre", "wim", "bre", "bim")))
+            tape.backward(ad.vsum(y * gy))
+        # the packed cotangent as one complex number per output bin
+        g = gy[..., :o] + 1j * gy[..., o:]
+        gw = np.einsum("bevo,bevf->eof", g, np.conj(x))
+        gb = g.sum(axis=(0, 2))
+        gx = np.einsum("bevo,eof->bevf", g, np.conj(w))
+        for got, want in (
+            (store["wre"].grad, gw.real),
+            (store["wim"].grad, gw.imag),
+            (store["bre"].grad, gb.real),
+            (store["bim"].grad, gb.imag),
+            (xv.grad, np.concatenate([gx.real, gx.imag], axis=-1)),
+        ):
+            assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("axis", [1, -2, 2, -1])
+    def test_concat_adjoint_hands_each_part_its_slice(self, axis):
+        rng = np.random.default_rng(20)
+        sizes = (2, 3, 1)
+        shapes = []
+        for size in sizes:
+            shape = [2, 4, 3]
+            shape[axis] = size
+            shapes.append(tuple(shape))
+        parts = [Variable(rng.standard_normal(s)) for s in shapes]
+        with Tape() as tape:
+            out = ad.concat(parts, axis)
+            g = rng.standard_normal(out.shape)
+            tape.backward(ad.vsum(out * g))
+        for part, chunk in zip(parts, np.split(g, np.cumsum(sizes)[:-1], axis=axis)):
+            assert part.grad.shape == part.shape
+            assert np.array_equal(part.grad, chunk)
 
     def test_masked_weighted_sum_adjoint(self):
         rng = np.random.default_rng(16)

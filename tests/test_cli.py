@@ -7,7 +7,9 @@ import pytest
 
 from adamoge import data as datamod
 from adamoge.cli import main
-from adamoge.synthetic import constant_table, sinusoid_table
+from adamoge.synthetic import sinusoid_table
+
+from oracles import constant_table
 
 
 @pytest.fixture()

@@ -5,7 +5,9 @@ import pytest
 
 from adamoge import data
 from adamoge.data import DataError
-from adamoge.synthetic import constant_table, hourly_timestamps, sinusoid_table
+from adamoge.synthetic import hourly_timestamps, sinusoid_table
+
+from oracles import constant_table
 
 ETT_DIR = os.environ.get("ADAMOGE_DATA_DIR", os.path.join(os.path.dirname(__file__), "..", "data"))
 ETTH1 = os.path.join(ETT_DIR, "ETTh1.csv")
