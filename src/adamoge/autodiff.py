@@ -408,40 +408,37 @@ def magnitude(spec) -> Variable:
 
 
 def complex_expert_map(x, wre, wim, bre, bim) -> Variable:
-    """Per-expert complex affine map on stacked sub-band spectra.
+    """Per-expert complex affine map on expert-major sub-band spectra.
 
-    x: (B, E, V, 2*F) packed ``[re | im]``, w: (E, O, F) pair, b: (E, O) pair
-    -> y: (B, E, V, 2*O) with y[b,e,v] = w[e] @ x[b,e,v] + b[e], packed the
-    same way.  In real arithmetic this is one GEMM per expert,
-    [yre | yim] = [xre | xim] @ M_e + [bre | bim], with the (2F, 2O) block
-    matrix M_e = [[wre^T, wim^T], [-wim^T, wre^T]] built on each call.
+    x: (E, B, V, 2*F) packed ``[re | im]``, w: (E, O, F) pair, b: (E, O) pair
+    -> y: (E, B, V, 2*O) with y[e,b,v] = w[e] @ x[e,b,v] + b[e], packed the
+    same way.  In real arithmetic this is one batched GEMM over the experts,
+    [yre | yim] = [xre | xim] @ M_e + [bre | bim] on expert e's contiguous
+    (B*V, 2F) block, with the (2F, 2O) block matrix
+    M_e = [[wre^T, wim^T], [-wim^T, wre^T]] built on each call.
     """
     x = as_variable(x)
     wre, wim = as_variable(wre), as_variable(wim)
     bre, bim = as_variable(bre), as_variable(bim)
-    bdim, edim, vdim = x.value.shape[:3]
+    edim, bdim, vdim = x.value.shape[:3]
     odim, fdim = wre.value.shape[1:]
     m = np.empty((edim, 2 * fdim, 2 * odim))
     m[:, :fdim, :odim] = m[:, fdim:, odim:] = wre.value.transpose(0, 2, 1)
     m[:, :fdim, odim:] = wim.value.transpose(0, 2, 1)
     np.negative(m[:, :fdim, odim:], out=m[:, fdim:, :odim])
-    bias = np.concatenate([bre.value, bim.value], axis=1)
-    y = np.empty((bdim, edim, vdim, 2 * odim))
-    for e in range(edim):
-        ye = x.value[:, e].reshape(-1, 2 * fdim) @ m[e]
-        np.add(ye.reshape(bdim, vdim, 2 * odim), bias[e], out=y[:, e])
-    out = Variable(y)
+    bias = np.concatenate([bre.value, bim.value], axis=1)[:, None]
+    rows = x.value.reshape(edim, bdim * vdim, 2 * fdim)
+    y = rows @ m
+    y += bias
+    out = Variable(y.reshape(edim, bdim, vdim, 2 * odim))
 
     def bwd(gy):
-        gx = np.empty_like(x.value)
-        gwre, gwim = np.empty_like(wre.value), np.empty_like(wim.value)
-        for e in range(edim):
-            ge = gy[:, e].reshape(-1, 2 * odim)
-            gx[:, e] = (ge @ m[e].T).reshape(bdim, vdim, 2 * fdim)
-            gm = x.value[:, e].reshape(-1, 2 * fdim).T @ ge
-            gwre[e] = (gm[:fdim, :odim] + gm[fdim:, odim:]).T
-            gwim[e] = (gm[:fdim, odim:] - gm[fdim:, :odim]).T
-        gb = gy.sum(axis=(0, 2))
+        grows = gy.reshape(edim, bdim * vdim, 2 * odim)
+        gx = (grows @ m.transpose(0, 2, 1)).reshape(x.value.shape)
+        gm = rows.transpose(0, 2, 1) @ grows
+        gwre = (gm[:, :fdim, :odim] + gm[:, fdim:, odim:]).transpose(0, 2, 1)
+        gwim = (gm[:, :fdim, odim:] - gm[:, fdim:, :odim]).transpose(0, 2, 1)
+        gb = grows.sum(axis=1)
         return gx, gwre, gwim, gb[:, :odim].copy(), gb[:, odim:].copy()
 
     _record((x, wre, wim, bre, bim), out, bwd)
@@ -488,20 +485,22 @@ def irfft_op(spec, n: int) -> Variable:
 
 
 def masked_weighted_sum(y, w, mask: np.ndarray) -> Variable:
-    """sum_e w[b,e] * y[b,e,...] restricted to mask; masked-out experts are
-    replaced by literal zeros so their values never reach the output bits."""
+    """sum_e w[b,e] * y[e,b,...] restricted to mask, for expert-major y and
+    (B, E) w and mask.  Products are formed only where the mask holds, so a
+    masked-out expert's values, non-finite ones too, reach neither the
+    output bits nor the gradients."""
     y, w = as_variable(y), as_variable(w)
-    extra = (1,) * (y.value.ndim - 2)
-    m = mask.reshape(mask.shape + extra)
-    wexp = w.value.reshape(w.value.shape + extra)
-    contrib = np.where(m, y.value * wexp, 0.0)
-    out = Variable(contrib.sum(axis=1))
+    shape = mask.T.shape + (1,) * (y.value.ndim - 2)
+    m, wexp = mask.T.reshape(shape), w.value.T.reshape(shape)
+
+    def masked_mul(a, b):
+        return np.multiply(a, b, out=np.zeros_like(y.value), where=m)
+
+    out = Variable(masked_mul(y.value, wexp).sum(axis=0))
 
     def bwd(g):
-        ge = np.expand_dims(g, 1)
-        gy = np.where(m, ge * wexp, 0.0)
-        gw = np.where(mask, (y.value * ge).sum(axis=tuple(range(2, y.value.ndim))), 0.0)
-        return gy, gw
+        gw = masked_mul(y.value, g).sum(axis=tuple(range(2, y.value.ndim))).T
+        return masked_mul(g, wexp), gw
 
     _record((y, w), out, bwd)
     return out

@@ -192,12 +192,14 @@ def _train_grid(cfg: RunConfig, ds) -> int:
 def _restore(args) -> tuple[RunConfig, datamod.Dataset, AdaMoGeModel, str]:
     sidecar = os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), CONFIG_NAME)
     cfg = resolve_config(args, default_path=sidecar if os.path.exists(sidecar) else None)
+    # fingerprinted as trained: --csv only names the series to run it on
+    expected = cfgmod.fingerprint(cfg)
     if getattr(args, "csv", None):
         cfg.data.path = args.csv
     ds = load_dataset(cfg)
     store, model = build_model(cfg, ds.values.shape[1])
     fp = ckpt.load_into(
-        args.checkpoint, store, cfgmod.fingerprint(cfg),
+        args.checkpoint, store, expected,
         allow_mismatch=getattr(args, "allow_fingerprint_mismatch", False),
     )
     return cfg, ds, model, fp

@@ -43,7 +43,7 @@ def _squash(t):
 
 @dataclass
 class BankPass:
-    """The Variables of one evaluation of the bank on a spectrum.
+    """The Variables of one evaluation of the bank on a spectrum, expert-major.
 
     For the truncation family f1/f2 are the fixed band edges and both sigmas
     are zero, since its response has no bandwidth.
@@ -51,9 +51,9 @@ class BankPass:
 
     f1: Variable  # (E,) lower cutoffs
     f2: Variable  # (E,) upper cutoffs
-    raw_sigma: Variable  # (B, E) adaptive bandwidth before the clamp
-    sigma: Variable  # (B, E) clamped bandwidth
-    h: Variable  # (B, E, F) responses at integer bins
+    raw_sigma: Variable  # (E, B) adaptive bandwidth before the clamp
+    sigma: Variable  # (E, B) clamped bandwidth
+    h: Variable  # (E, B, F) responses at integer bins
 
 
 class FilterBank:
@@ -107,14 +107,10 @@ class FilterBank:
             self._masks = self._truncation_masks()
 
     def _truncation_masks(self) -> np.ndarray:
-        edges = self._edges
-        masks = np.zeros((self.e_max, self.bins))
-        for e in range(self.e_max):
-            inside = (self._freqs >= edges[e]) & (self._freqs < edges[e + 1])
-            if e == self.e_max - 1:
-                inside |= self._freqs == self.f_nyq
-            masks[e, inside] = 1.0
-        return masks
+        edges, freqs = self._edges[:, None], self._freqs
+        inside = (freqs >= edges[:-1]) & (freqs < edges[1:])
+        inside[-1] |= freqs == self.f_nyq
+        return inside.astype(np.float64)
 
     def cutoffs(self) -> tuple[Variable, Variable]:
         """(f1, f2) as (E,) variables with 0 < f1 < f2 < f_nyq; the fixed band
@@ -127,7 +123,7 @@ class FilterBank:
 
     def evaluate(self, spec: Variable) -> BankPass:
         """Cutoffs, per-sample bandwidths and responses from one cutoffs() call
-        on a (B, V, 2F) spectrum packed ``[re | im]``.
+        on a (B, V, 2F) spectrum packed ``[re | im]``, expert-major: (E, B, ...).
 
         sigma = clamp(sigma0 * alpha * mean|X|^2 / centre), the mean taken over
         every bin of every variable of a sample.
@@ -137,18 +133,18 @@ class FilterBank:
             raise ValueError(f"spectrum has {packed // 2} bins, bank expects {self.bins}")
         f1, f2 = self.cutoffs()
         if self.family == "truncation":
-            zeros = Variable(np.zeros((b, self.e_max)))
-            h = Variable(np.broadcast_to(self._masks, (b, self.e_max, self.bins)).copy())
+            zeros = Variable(np.zeros((self.e_max, b)))
+            h = Variable(np.broadcast_to(self._masks[:, None], (self.e_max, b, self.bins)).copy())
             return BankPass(f1, f2, zeros, zeros, h)
         center = (f1 + f2) * 0.5
         # |X|^2 per bin (re^2 + im^2) before the mean over (V, F)
         power = ad.vsum(ad.reshape(ad.square(spec), (b, v, 2, self.bins)), axis=2)
-        mp = ad.reshape(ad.vmean(power, axis=(1, 2)), (-1, 1))
-        raw = mp * (self.sigma0 * self.alpha) / ad.reshape(center, (1, -1))
+        mp = ad.reshape(ad.vmean(power, axis=(1, 2)), (1, -1))
+        raw = mp * (self.sigma0 * self.alpha) / ad.reshape(center, (-1, 1))
         sigma = ad.clamp(raw, self.sigma_min, self.sigma_max)
-        half = ad.reshape((f2 - f1) * 0.5, (1, -1, 1))
-        d = Variable(self._freqs.reshape(1, 1, -1)) - ad.reshape(center, (1, -1, 1))
-        s = ad.reshape(sigma, (b, self.e_max, 1))
+        half = ad.reshape((f2 - f1) * 0.5, (-1, 1, 1))
+        d = Variable(self._freqs.reshape(1, 1, -1)) - ad.reshape(center, (-1, 1, 1))
+        s = ad.reshape(sigma, (self.e_max, b, 1))
         lo = (d + half) / s
         hi = (d - half) / s
         h = ad.exp(ad.square(lo) * -0.5) - ad.exp(ad.square(hi) * -0.5)
@@ -157,11 +153,11 @@ class FilterBank:
         return BankPass(f1, f2, raw, sigma, h)
 
     def apply(self, spec: Variable) -> tuple[Variable, BankPass]:
-        """Sub-band spectra (B, E, V, 2F) packed ``[re | im]``: the input
-        spectrum times each real response, broadcast over both halves; and
-        the bank pass that produced the responses."""
+        """Expert-major sub-band spectra (E, B, V, 2F) packed ``[re | im]``: the
+        input spectrum times each real response, broadcast over both halves;
+        and the bank pass that produced the responses."""
         bp = self.evaluate(spec)
         b, v, packed = spec.value.shape
         f = self.bins
-        sub = ad.reshape(spec, (b, 1, v, 2, f)) * ad.reshape(bp.h, (b, self.e_max, 1, 1, f))
-        return ad.reshape(sub, (b, self.e_max, v, packed)), bp
+        sub = ad.reshape(spec, (1, b, v, 2, f)) * ad.reshape(bp.h, (self.e_max, b, 1, 1, f))
+        return ad.reshape(sub, (self.e_max, b, v, packed)), bp

@@ -3,7 +3,7 @@
 Per input window the layer (a) summarises the spectrum into gate features,
 (b) predicts how many experts to activate (a sigmoid-bounded count head with
 straight-through rounding), (c) scores all experts with a softmax gating
-network and keeps the top K with renormalised weights, (d) runs each kept
+network and keeps the top K with renormalised weights, (d) runs every
 expert, a complex affine map shared across variables, on its band-passed
 sub-spectrum, and (e) mixes the experts' output spectra with the gate
 weights and inverts the mixture once per (sample, variable); the inverse
@@ -18,7 +18,10 @@ lookback to the horizon.
 
 Blocks work per variable along time, in the (B, V, T) layout: one series
 per (sample, variable) row.  The model transposes the public (B, L, V)
-window once on entry and its (B, V, H) forecast once on exit.
+window once on entry and its (B, V, H) forecast once on exit.  Per-expert
+tensors are expert-major from the bank's responses (E, B, F) to the mix, so
+each expert's rows are one contiguous block; the gate's outputs and
+``BlockDiagnostics`` stay (B, E).
 """
 
 from __future__ import annotations
@@ -116,9 +119,8 @@ def select_topk(p: Variable, k: np.ndarray | int) -> GateDecision:
     if np.any(kvec < 1) or np.any(kvec > e):
         raise ValueError(f"k out of range [1, {e}]: {kvec}")
     order = np.argsort(-p.value, axis=1, kind="stable")
-    mask = np.zeros((b, e), dtype=bool)
-    for row in range(b):
-        mask[row, order[row, : kvec[row]]] = True
+    mask = np.empty((b, e), dtype=bool)
+    np.put_along_axis(mask, order, np.arange(e) < kvec[:, None], axis=1)
     kept = p * mask.astype(np.float64)
     weights = kept / ad.vsum(kept, axis=1, keepdims=True)
     return GateDecision(k=kvec, mask=mask, weights=weights)
@@ -200,9 +202,9 @@ class AdaMoGeBlock:
         return select_topk(p, k), k_hat, p
 
     def experts_forward(self, sub: Variable) -> Variable:
-        """All experts on their (B, E, V, 2 * bins) sub-bands -> output half
-        spectra (B, E, V, 2 * out_bins), both packed ``[re | im]``; not yet
-        inverted."""
+        """All experts on their expert-major (E, B, V, 2 * bins) sub-bands ->
+        output half spectra (E, B, V, 2 * out_bins), both packed ``[re | im]``;
+        not yet inverted."""
         return ad.complex_expert_map(sub, self.ewre, self.ewim, self.ebre, self.ebim)
 
     def _ffn(self, y: Variable) -> Variable:
@@ -235,9 +237,9 @@ class AdaMoGeBlock:
                     decision=decision,
                     k_hat=None if k_hat is None else k_hat.value.copy(),
                     passbands=np.stack([bp.f1.value, bp.f2.value], axis=1),
-                    sigmas=bp.sigma.value.copy(),
-                    raw_sigmas=bp.raw_sigma.value.copy(),
-                    responses=bp.h.value.copy(),
+                    sigmas=bp.sigma.value.T.copy(),
+                    raw_sigmas=bp.raw_sigma.value.T.copy(),
+                    responses=bp.h.value.transpose(1, 0, 2).copy(),
                 )
             )
         if self.residual:

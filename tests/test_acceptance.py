@@ -147,7 +147,7 @@ def test_criterion_4_filter_properties():
 
         # 100 Adam steps on a random loss over the responses
         x = rng.standard_normal((2, (bins - 1) * 2, 2)) * rng.uniform(0.3, 1.5)
-        target = rng.standard_normal((2, e_max, bins))
+        target = rng.standard_normal((2, e_max, bins)).transpose(1, 0, 2)
         opt = Adam(store)
         for _ in range(100):
             store.zero_grads()
@@ -161,7 +161,7 @@ def test_criterion_4_filter_properties():
         f1v, f2v = f1.value, f2.value
         assert np.all(f1v < f2v) and np.all(f1v > 0.0), "cutoff ordering broke"
 
-        sigma = bank.evaluate(spectrum_of(Variable(x.transpose(0, 2, 1)))).sigma.value
+        sigma = bank.evaluate(spectrum_of(Variable(x.transpose(0, 2, 1)))).sigma.value.T
         assert np.all(sigma >= bank.sigma_min) and np.all(sigma <= bank.sigma_max)
 
         mid = (f1v + f2v) / 2.0

@@ -213,12 +213,13 @@ class TestPrimitiveAdjoints:
         rng = np.random.default_rng(15)
         x, w, bias = self._complex_map_case(rng)
         o = w.shape[1]
+        xe = x.transpose(1, 0, 2, 3)  # expert-major
         y = ad.complex_expert_map(
-            np.concatenate([x.real, x.imag], axis=-1), w.real, w.imag, bias.real, bias.imag,
+            np.concatenate([xe.real, xe.imag], axis=-1), w.real, w.imag, bias.real, bias.imag,
         ).value
         for b, e, v in np.ndindex(x.shape[:3]):
             want = np.array(complex_matvec(w[e].tolist(), x[b, e, v].tolist())) + bias[e]
-            got = y[b, e, v, :o] + 1j * y[b, e, v, o:]
+            got = y[e, b, v, :o] + 1j * y[e, b, v, o:]
             assert np.max(np.abs(got - want)) < 1e-10, (b, e, v)
 
     def test_complex_expert_map_gradients_match_complex_reference(self):
@@ -226,11 +227,11 @@ class TestPrimitiveAdjoints:
         x, w, bias = self._complex_map_case(rng)
         o = w.shape[1]
         store = make_store(wre=w.real, wim=w.imag, bre=bias.real, bim=bias.imag)
-        xv = Variable(np.concatenate([x.real, x.imag], axis=-1))
+        xv = Variable(np.concatenate([x.real, x.imag], axis=-1).transpose(1, 0, 2, 3))
         gy = rng.standard_normal(x.shape[:3] + (2 * o,))
         with Tape() as tape:
             y = ad.complex_expert_map(xv, *(store[n] for n in ("wre", "wim", "bre", "bim")))
-            tape.backward(ad.vsum(y * gy))
+            tape.backward(ad.vsum(y * gy.transpose(1, 0, 2, 3)))
         # the packed cotangent as one complex number per output bin
         g = gy[..., :o] + 1j * gy[..., o:]
         gw = np.einsum("bevo,bevf->eof", g, np.conj(x))
@@ -241,7 +242,7 @@ class TestPrimitiveAdjoints:
             (store["wim"].grad, gw.imag),
             (store["bre"].grad, gb.real),
             (store["bim"].grad, gb.imag),
-            (xv.grad, np.concatenate([gx.real, gx.imag], axis=-1)),
+            (xv.grad, np.concatenate([gx.real, gx.imag], axis=-1).transpose(1, 0, 2, 3)),
         ):
             assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
@@ -267,7 +268,7 @@ class TestPrimitiveAdjoints:
         rng = np.random.default_rng(16)
         mask = np.array([[True, False, True], [False, True, True]])
         params = {
-            "y": rng.standard_normal((2, 3, 4, 2)),
+            "y": rng.standard_normal((2, 3, 4, 2)).transpose(1, 0, 2, 3),
             "w": rng.uniform(0.1, 1.0, size=(2, 3)),
         }
         err = fd_check(
@@ -278,14 +279,25 @@ class TestPrimitiveAdjoints:
 
     def test_masked_weighted_sum_ignores_masked_values(self):
         rng = np.random.default_rng(17)
-        y = rng.standard_normal((1, 2, 3, 1))
+        y = rng.standard_normal((1, 2, 3, 1)).transpose(1, 0, 2, 3)
         w = np.array([[0.7, 0.0]])
         mask = np.array([[True, False]])
-        out1 = ad.masked_weighted_sum(Variable(y), Variable(w), mask).value
-        y2 = y.copy()
-        y2[0, 1] = np.pi  # perturb masked expert
-        out2 = ad.masked_weighted_sum(Variable(y2), Variable(w), mask).value
-        assert out1.tobytes() == out2.tobytes()
+        g = rng.standard_normal((1, 3, 1))
+
+        def run(values):
+            yv, wv = Variable(values), Variable(w)
+            with Tape() as tape:
+                out = ad.masked_weighted_sum(yv, wv, mask)
+                tape.backward(ad.vsum(out * g))
+            return out.value, yv.grad, wv.grad
+
+        finite = run(y)
+        # the masked expert at zero weight: perturbed, NaN, +-inf, and mixed
+        for bad in (np.pi, np.nan, np.inf, -np.inf, [np.inf, -np.inf, np.nan]):
+            y2 = y.copy()
+            y2[1, 0, :, 0] = bad
+            for got, want in zip(run(y2), finite):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestGradCheck:

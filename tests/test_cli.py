@@ -423,6 +423,32 @@ class TestInspect:
         assert not os.path.exists(str(tmp_path / "in"))
 
 
+class TestCsvOption:
+    @pytest.mark.parametrize("command", ["predict", "inspect-spectrum"])
+    def test_csv_runs_the_checkpoint_on_another_series(self, tmp_path, base_cfg, capsys,
+                                                       command):
+        # the checkpoint's fingerprint is that of the config it was trained
+        # with; --csv names the series to run it on and must not change it
+        code, out = run_train(tmp_path, base_cfg)
+        assert code == 0
+        table = sinusoid_table(400, variables=2, cycles_per_window=(5.0,), window=32,
+                               snr_db=14.0, seed=1)
+        other = str(tmp_path / "other.csv")
+        datamod.save_csv(table, other)
+        dest = tmp_path / "other_out"
+        code = main([command, os.path.join(out, "checkpoint.bin"), "--csv", other,
+                     "--origin", "100", "--out", str(dest)])
+        assert code == 0, capsys.readouterr().err
+        if command == "inspect-spectrum":
+            assert sorted(os.listdir(dest)) == ["filters.csv", "gate.csv", "intensity.csv",
+                                                "mu.csv"]
+            return
+        with open(str(dest / "forecast.csv")) as fh:
+            body = list(csv.reader(fh))[1:]
+        history = np.array([[float(c) for c in r[2:]] for r in body if r[1] == "history"])
+        assert np.allclose(history, table.values[68:100], rtol=0.0, atol=1e-9)
+
+
 def command_args(command, base_cfg, checkpoint):
     if command == "train":
         return ["train", "--config", base_cfg]

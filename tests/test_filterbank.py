@@ -72,7 +72,7 @@ class TestAdaptiveSigma:
         # |X|^2 = 1 in every bin: sigma = sigma0 * alpha * 1 / centre
         _, bank = make_bank(e_max=3, bins=9, sigma0=1.0, alpha=1.0, sigma_min=0.01,
                             sigma_max=100.0)
-        s = bank.evaluate(packed_spectrum(np.ones((1, 2, 9)), np.zeros((1, 2, 9)))).sigma.value
+        s = bank.evaluate(packed_spectrum(np.ones((1, 2, 9)), np.zeros((1, 2, 9)))).sigma.value.T
         center = passbands(bank).mean(axis=1)
         assert np.allclose(s, 1.0 / center[None, :])
 
@@ -87,7 +87,7 @@ class TestAdaptiveSigma:
         _, bank = make_bank(e_max=4, bins=9, sigma0=1.0, alpha=1.0, sigma_min=1e-9,
                             sigma_max=1e9)
         re = np.full((1, 2, 9), np.sqrt(3.0))
-        s = bank.evaluate(packed_spectrum(re, np.zeros_like(re))).sigma.value[0]
+        s = bank.evaluate(packed_spectrum(re, np.zeros_like(re))).sigma.value[:, 0]
         center = passbands(bank).mean(axis=1)
         assert len(np.unique(center)) == 4
         assert np.allclose(s * center, 3.0)
@@ -145,8 +145,8 @@ class TestApply:
         _, bank = make_bank(e_max=1, bins=9, family="truncation")
         spec = random_spectrum(rng)
         sub, _ = bank.apply(spec)
-        assert np.array_equal(sub.value[:, 0, :, :9], spec.value[..., :9])
-        assert np.array_equal(sub.value[:, 0, :, 9:], spec.value[..., 9:])
+        assert np.array_equal(sub.value[0, :, :, :9], spec.value[..., :9])
+        assert np.array_equal(sub.value[0, :, :, 9:], spec.value[..., 9:])
 
     def test_zero_stub_is_zero(self):
         rng = np.random.default_rng(5)
@@ -166,6 +166,18 @@ class TestApply:
             assert abs(sub.value[0, 0, 0, f] - spec.value[0, 0, f] * h[0, 0, f]) < 1e-12
             assert abs(sub.value[0, 0, 0, 9 + f] - spec.value[0, 0, 9 + f] * h[0, 0, f]) < 1e-12
 
+    @pytest.mark.parametrize("family", ["gaussian", "truncation"])
+    def test_every_expert_and_sample_is_spectrum_times_response(self, family):
+        rng = np.random.default_rng(12)
+        _, bank = make_bank(e_max=3, bins=9, family=family)
+        spec = random_spectrum(rng, b=2)
+        sub, bp = bank.apply(spec)
+        assert sub.shape == (3, 2, 2, 18) and bp.h.shape == (3, 2, 9)
+        for e, b in np.ndindex(3, 2):
+            for half in (slice(0, 9), slice(9, 18)):
+                want = spec.value[b, :, half] * bp.h.value[e, b]
+                assert np.array_equal(sub.value[e, b, :, half], want), (e, b, half)
+
     def test_bin_mismatch_rejected(self):
         rng = np.random.default_rng(7)
         _, bank = make_bank(e_max=2, bins=5)
@@ -181,9 +193,9 @@ class TestApply:
         sig = bank.evaluate(spec).sigma.value
         for b in range(spec.value.shape[0]):
             want = dog_response(
-                bands[:, 0], bands[:, 1], sig[b], np.arange(9.0)
+                bands[:, 0], bands[:, 1], sig[:, b], np.arange(9.0)
             )
-            assert np.max(np.abs(h[b] - want)) < 1e-13
+            assert np.max(np.abs(h[:, b] - want)) < 1e-13
 
     def test_abs_mode_is_magnitude_of_dog(self):
         rng = np.random.default_rng(9)
@@ -219,7 +231,7 @@ class TestGradients:
         rng = np.random.default_rng(11)
         store, bank = make_bank(e_max=4, bins=25)
         x = rng.standard_normal((2, 48, 2))
-        target = rng.standard_normal((2, 4, 25))
+        target = rng.standard_normal((2, 4, 25)).transpose(1, 0, 2)
         for _ in range(100):
             store.zero_grads()
             with ad.Tape() as tape:

@@ -273,7 +273,7 @@ class TestForward:
         per_expert = fourier.irfft(spectra[..., :o], spectra[..., o:], block.out_len) * (
             block.out_len / block.in_len
         )
-        want = per_expert.mean(axis=1).transpose(0, 2, 1)
+        want = per_expert.mean(axis=0).transpose(0, 2, 1)
         got = model.predict(x)
         assert np.max(np.abs(got - want)) < 1e-9
 
