@@ -177,9 +177,8 @@ def _train_grid(cfg: RunConfig, ds) -> int:
                 e.val_mse, e.params, e.seconds, e.epochs_run,
             ])
     winner_cfg = combo_config(result.winner.combo)
-    store, model = build_model(winner_cfg, ds.values.shape[1])
-    store.load_state_dict(result.winner_state)
-    ckpt.save(os.path.join(out_dir, CHECKPOINT_NAME), store, cfgmod.fingerprint(winner_cfg))
+    ckpt.save(os.path.join(out_dir, CHECKPOINT_NAME), result.winner_store,
+              cfgmod.fingerprint(winner_cfg))
     with ckpt.atomic_open(os.path.join(out_dir, CONFIG_NAME)) as fh:
         fh.write(cfgmod.render(winner_cfg))
     _write_report(out_dir, result.winner_report)

@@ -12,6 +12,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 
+from .filterbank import FILTER_FAMILIES, FILTER_MODES
 from .fourier import MAX_LENGTH
 from .moge import ModelConfig
 from .training import TrainConfig
@@ -89,8 +90,8 @@ _SCHEMA: dict[str, tuple[str, str, object]] = {
 
 _VALID_CHOICES = {
     "data.kind": ("auto", "etth", "ettm", "ratio"),
-    "model.filter.mode": ("dog", "abs-dog"),
-    "model.filter.family": ("gaussian", "truncation"),
+    "model.filter.mode": FILTER_MODES,
+    "model.filter.family": FILTER_FAMILIES,
 }
 
 

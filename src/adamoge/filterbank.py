@@ -18,13 +18,18 @@ ablation baseline against the learnable Gaussian family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Variable
 
-SIGMA_MIN_DEFAULT = 0.5
+if TYPE_CHECKING:
+    from .moge import ModelConfig
+
+FILTER_MODES = ("dog", "abs-dog")
+FILTER_FAMILIES = ("gaussian", "truncation")
 
 
 def logit(p: np.ndarray | float) -> np.ndarray:
@@ -59,44 +64,27 @@ class BankPass:
 class FilterBank:
     """E learnable band-pass filters over the half spectrum of a window.
 
+    ``cfg`` is resolved by ``ModelConfig.validate``; the bank has no defaults.
     family="gaussian": difference-of-Gaussians with learnable cutoffs and
     sample-adaptive bandwidth.  family="truncation": fixed equal bands with
     a hard 0/1 response (ablation baseline); carries no parameters.
     """
 
-    def __init__(
-        self,
-        store: ParameterStore,
-        prefix: str,
-        e_max: int,
-        bins: int,
-        sigma0: float = 0.0,  # 0 -> f_nyq / (2 e_max)
-        alpha: float = 1.0,
-        sigma_min: float = SIGMA_MIN_DEFAULT,
-        sigma_max: float = 0.0,  # 0 -> f_nyq / 2
-        mode: str = "dog",
-        family: str = "gaussian",
-    ):
-        if e_max < 1:
-            raise ValueError("e_max must be >= 1")
-        if mode not in ("dog", "abs-dog"):
-            raise ValueError(f"unknown filter mode {mode!r}")
-        if family not in ("gaussian", "truncation"):
-            raise ValueError(f"unknown filter family {family!r}")
-        self.e_max = e_max
+    def __init__(self, store: ParameterStore, prefix: str, bins: int, cfg: ModelConfig):
+        self.e_max = cfg.e_max
         self.bins = bins
         self.f_nyq = float(bins - 1)
-        self.sigma0 = float(sigma0) or self.f_nyq / (2.0 * e_max)
-        self.alpha = float(alpha)
-        self.sigma_min = float(sigma_min)
-        self.sigma_max = float(sigma_max) or self.f_nyq / 2.0
-        self.mode = mode
-        self.family = family
+        self.sigma0 = float(cfg.sigma0)
+        self.alpha = float(cfg.alpha)
+        self.sigma_min = float(cfg.sigma_min)
+        self.sigma_max = float(cfg.sigma_max)
+        self.mode = cfg.filter_mode
+        self.family = cfg.filter_family
         self._freqs = np.arange(bins, dtype=np.float64)
         # equal tiling of [0, f_nyq]: the initial Gaussian cutoffs and the
         # fixed truncation bands
-        self._edges = np.linspace(0.0, self.f_nyq, e_max + 1)
-        if family == "gaussian":
+        self._edges = np.linspace(0.0, self.f_nyq, self.e_max + 1)
+        if self.family == "gaussian":
             lo = self._edges[:-1].copy()
             lo[0] = self.f_nyq * 1e-4  # the first lower cutoff sits just above 0
             hi = self._edges[1:]

@@ -26,20 +26,22 @@ each expert's rows are one contiguous block; the gate's outputs and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, ParameterStore, Variable
-from .filterbank import FilterBank
+from .filterbank import FILTER_FAMILIES, FILTER_MODES, FilterBank
 from .fourier import half_bins
 from .spectral import spectrum_of, summarize
 
 
 @dataclass
 class ModelConfig:
-    """Architecture knobs (a subset of the run config's model section)."""
+    """Architecture knobs (a subset of the run config's model section).
+    ``validate`` is the one place that checks them and resolves the 0 = auto
+    values; the model, its blocks and their filter banks read its copy."""
 
     e_max: int = 7
     depth: int = 1
@@ -53,32 +55,37 @@ class ModelConfig:
     sigma_min: float = 0.5
     sigma_max: float = 0.0  # 0 -> f_nyq / 2
 
-    def validate(self, lookback: int) -> None:
+    def validate(self, lookback: int) -> ModelConfig:
         """Raise ValueError naming the first ``model.*`` key that no model
-        over a ``lookback``-step window can use."""
+        over a ``lookback``-step window can use; otherwise return a copy with
+        the auto values filled in, where f_nyq = lookback // 2."""
         for name in ("e_max", "depth", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"model.{name} must be >= 1, got {getattr(self, name)}")
-        # filter-bank bandwidths: 0 means "derive from the lookback" for sigma0
-        # and sigma_max; sigma must stay positive and alpha must let it adapt
+        for name, choices in (("mode", FILTER_MODES), ("family", FILTER_FAMILIES)):
+            value = getattr(self, f"filter_{name}")
+            if value not in choices:
+                raise ValueError(f"model.filter.{name} must be one of {choices}, got {value!r}")
+        # sigma must stay positive and alpha must let it adapt
         for name in ("sigma_min", "alpha"):
             if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValueError(f"model.{name} must be > 0, got {getattr(self, name)}")
         for name in ("sigma0", "sigma_max"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"model.{name} must be >= 0 (0 = auto), got {getattr(self, name)}")
-        sigma_max = self.sigma_max or (lookback // 2) / 2.0
-        if sigma_max < self.sigma_min:
-            raise ValueError(f"model.sigma_max {sigma_max} is below model.sigma_min "
-                             f"{self.sigma_min} (sigma_max 0 means (lookback // 2) / 2)")
-        if not self.adaptive_k:
-            self.resolved_fixed_k()
-
-    def resolved_fixed_k(self) -> int:
-        k = self.fixed_k if self.fixed_k > 0 else (self.e_max + 1) // 2
-        if not 1 <= k <= self.e_max:
-            raise ValueError(f"model.fixed_k {k} outside [1, model.e_max = {self.e_max}]")
-        return k
+        f_nyq = float(lookback // 2)
+        cfg = replace(
+            self,
+            sigma0=self.sigma0 or f_nyq / (2.0 * self.e_max),
+            sigma_max=self.sigma_max or f_nyq / 2.0,
+            fixed_k=self.fixed_k if self.fixed_k > 0 else (self.e_max + 1) // 2,
+        )
+        if cfg.sigma_max < cfg.sigma_min:
+            raise ValueError(f"model.sigma_max {cfg.sigma_max} is below model.sigma_min "
+                             f"{cfg.sigma_min} (sigma_max 0 means (lookback // 2) / 2)")
+        if not cfg.adaptive_k and not 1 <= cfg.fixed_k <= cfg.e_max:
+            raise ValueError(f"model.fixed_k {cfg.fixed_k} outside [1, model.e_max = {cfg.e_max}]")
+        return cfg
 
 
 @dataclass
@@ -135,7 +142,8 @@ def straight_through_scale(k_hat: Variable, k: np.ndarray) -> Variable:
 
 class AdaMoGeBlock:
     """One band-mixing block, (B, V, in_len) -> (B, V, out_len): filter bank
-    + gate + experts + residual FFN."""
+    + gate + experts + residual FFN.  ``cfg`` is the resolved config that
+    ``ModelConfig.validate(in_len)`` returns."""
 
     def __init__(
         self,
@@ -154,19 +162,7 @@ class AdaMoGeBlock:
         self.cfg = cfg
         self.bins = half_bins(in_len)
         self.out_bins = half_bins(out_len)
-        self.e_max = cfg.e_max
-        self.bank = FilterBank(
-            store,
-            f"{prefix}.bank",
-            e_max=cfg.e_max,
-            bins=self.bins,
-            sigma0=cfg.sigma0,
-            alpha=cfg.alpha,
-            sigma_min=cfg.sigma_min,
-            sigma_max=cfg.sigma_max,
-            mode=cfg.filter_mode,
-            family=cfg.filter_family,
-        )
+        self.bank = FilterBank(store, f"{prefix}.bank", self.bins, cfg)
         feat = self.bins + variables
         hid = cfg.feature_dim
 
@@ -196,9 +192,9 @@ class AdaMoGeBlock:
     def gate_decision(self, chi: Variable) -> tuple[GateDecision, Variable | None, Variable]:
         p = gate_probabilities(chi, self.wg, self.bg)
         if self.cfg.adaptive_k:
-            k_hat, k = predict_expert_count(chi, self.w1, self.b1, self.w2, self.b2, self.e_max)
+            k_hat, k = predict_expert_count(chi, self.w1, self.b1, self.w2, self.b2, self.cfg.e_max)
         else:
-            k_hat, k = None, np.full(p.value.shape[0], self.cfg.resolved_fixed_k(), np.int64)
+            k_hat, k = None, np.full(p.value.shape[0], self.cfg.fixed_k, np.int64)
         return select_topk(p, k), k_hat, p
 
     def experts_forward(self, sub: Variable) -> Variable:
@@ -275,12 +271,11 @@ class AdaMoGeModel:
         cfg: ModelConfig,
         seed: int = 0,
     ):
-        cfg.validate(lookback)
+        self.cfg = cfg = cfg.validate(lookback)
         self.store = store
         self.lookback = lookback
         self.horizon = horizon
         self.variables = variables
-        self.cfg = cfg
         rng = np.random.default_rng(np.random.SeedSequence([seed, lookback, horizon]))
         self.blocks = []
         for i in range(cfg.depth):

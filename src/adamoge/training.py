@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -118,15 +118,7 @@ class EvalReport:
     fingerprint: str
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "horizon": self.horizon,
-            "mse": self.mse,
-            "mae": self.mae,
-            "params": self.params,
-            "seconds": self.seconds,
-            "fingerprint": self.fingerprint,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -142,7 +134,7 @@ class EvalReport:
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-CSV_COLUMNS = ("dataset", "horizon", "mse", "mae", "params", "seconds", "fingerprint")
+CSV_COLUMNS = tuple(f.name for f in fields(EvalReport))
 
 
 def evaluate(model: AdaMoGeModel, ds: Dataset, row_range, batch_size: int = 64) -> tuple[float, float]:
@@ -277,7 +269,7 @@ class GridResult:
     entries: list[GridEntry]  # ranked by validation MSE, best first
     winner: GridEntry
     winner_report: EvalReport
-    winner_state: dict[str, np.ndarray]
+    winner_store: ParameterStore  # the winner's parameters, at its best epoch
 
 
 def grid_search(ds: Dataset, tc: TrainConfig, build_model, fingerprint_for=None) -> GridResult:
@@ -286,10 +278,12 @@ def grid_search(ds: Dataset, tc: TrainConfig, build_model, fingerprint_for=None)
 
     ``build_model`` maps a combo dict to a fresh (store, model) pair;
     ``fingerprint_for`` (optional) maps a combo to its config fingerprint.
+    ``fit`` leaves each model at its best epoch, so the result carries the
+    winner's own store, ready to save.
     """
     tc.validate()
     entries: list[GridEntry] = []
-    best_entry = best_model = best_result = None
+    best_entry = best_model = None
     for combo in grid_combinations(tc):
         model = build_model(combo)[1]
         result = fit(model, ds, tc, compute_test=False)
@@ -303,9 +297,8 @@ def grid_search(ds: Dataset, tc: TrainConfig, build_model, fingerprint_for=None)
         entries.append(entry)
         # strict: a tie keeps the earlier combination
         if best_entry is None or entry.val_mse < best_entry.val_mse:
-            best_entry, best_model, best_result = entry, model, result
+            best_entry, best_model = entry, model
         del model, result  # only the running best stays alive
-    best_model.store.load_state_dict(best_result.best_state)
     test_mse, test_mae = evaluate(best_model, ds, ds.split.test, tc.batch_size)
     fingerprint = fingerprint_for(best_entry.combo) if fingerprint_for else ""
     winner_report = EvalReport(
@@ -321,5 +314,5 @@ def grid_search(ds: Dataset, tc: TrainConfig, build_model, fingerprint_for=None)
         entries=sorted(entries, key=lambda e: e.val_mse),
         winner=best_entry,
         winner_report=winner_report,
-        winner_state=best_result.best_state,
+        winner_store=best_model.store,
     )

@@ -16,6 +16,7 @@ import numpy as np
 from adamoge.autodiff import Variable
 from adamoge.data import SeriesTable
 from adamoge.synthetic import hourly_timestamps
+from adamoge.training import Adam
 
 
 def naive_dft(x):
@@ -91,6 +92,24 @@ def constant_table(rows: int, variables: int, value: float) -> SeriesTable:
     values = np.full((rows, variables), value, dtype=np.float64)
     names = [f"c{v}" for v in range(variables)]
     return SeriesTable(hourly_timestamps(rows), values, names)
+
+
+def adam_poisoned_from(step: int) -> type:
+    """An ``Adam`` that sets its first parameter's gradient to NaN from
+    optimizer step ``step`` (0-based) on, just before the step's finiteness
+    check, and keeps the parameters it found there in ``poisoned_state``.
+    The loss stays finite; only the gradient is not."""
+
+    class PoisonedAdam(Adam):
+        poisoned_state = None
+
+        def step(self, lr: float) -> None:
+            if self.step_count >= step:
+                PoisonedAdam.poisoned_state = self.store.state_dict()
+                next(iter(self.store)).grad[...] = np.nan
+            super().step(lr)
+
+    return PoisonedAdam
 
 
 def khead_parameter_names(model) -> list[str]:

@@ -140,8 +140,8 @@ def test_criterion_4_filter_properties():
         e_max = int(rng.integers(2, 6))
         bins = int(rng.integers(17, 50))
         store = ParameterStore()
-        bank = fb.FilterBank(store, "bank", e_max=e_max, bins=bins,
-                             sigma0=float(rng.uniform(0.5, 3.0)))
+        cfg = ModelConfig(e_max=e_max, sigma0=float(rng.uniform(0.5, 3.0)))
+        bank = fb.FilterBank(store, "bank", bins, cfg.validate(2 * (bins - 1)))
         store["bank.a"].value[...] = rng.uniform(-4.0, 4.0, size=e_max)
         store["bank.b"].value[...] = rng.uniform(-4.0, 4.0, size=e_max)
 

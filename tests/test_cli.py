@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from adamoge import data as datamod
+from adamoge import training
 from adamoge.cli import main
 from adamoge.synthetic import sinusoid_table
 
-from oracles import constant_table
+from oracles import adam_poisoned_from, constant_table
 
 
 @pytest.fixture()
@@ -135,6 +136,24 @@ class TestTrain:
         assert code == 1
         assert "model.bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["predict", "checkpoint.bin"]],
+                             ids=["no-command", "unknown-command", "predict-without-origin"])
+    def test_argparse_usage_error_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_nonfinite_gradient_warns_and_exits_0(self, tmp_path, base_cfg, capsys, monkeypatch):
+        # a finite loss whose gradient is not finite from the second step on:
+        # Adam.step raises inside fit, which keeps its best finite state
+        monkeypatch.setattr(training, "Adam", adam_poisoned_from(1))
+        code, out = run_train(tmp_path, base_cfg)
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning: training diverged" in err and "Traceback" not in err
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert np.isfinite(report["mse"])
+
     @pytest.mark.parametrize("args, key", BAD_VALUES, ids=[
         " ".join(a for a in args if a != "--override").replace("\0", "NUL")
         for args, _ in BAD_VALUES
@@ -256,6 +275,18 @@ class TestPredict:
         bad = main(["predict", os.path.join(out, "checkpoint.bin"),
                     "--origin", "31", "--out", str(tmp_path / "p2")])
         assert bad == 2
+        # the synthetic series has 700 rows: a forecast may start right after
+        # the last one, not past it
+        last = main(["predict", os.path.join(out, "checkpoint.bin"),
+                     "--origin", "700", "--out", str(tmp_path / "p3")])
+        assert last == 0
+        capsys.readouterr()
+        past = main(["predict", os.path.join(out, "checkpoint.bin"),
+                     "--origin", "701", "--out", str(tmp_path / "p4")])
+        assert past == 2
+        err = capsys.readouterr().err
+        assert "beyond the 700-row series" in err and "Traceback" not in err
+        assert not os.path.exists(str(tmp_path / "p4"))
 
     def test_constant_series_predicts_near_constant(self, tmp_path, base_cfg, capsys):
         # constant input z-scores to zero; an untrained-but-zeroed model emits
@@ -415,6 +446,17 @@ class TestInspect:
         assert k == int(np.clip(np.rint(k_hat), 1, 3))
 
 
+    def test_origin_outside_series_exits_2(self, tmp_path, base_cfg, capsys):
+        code, out = run_train(tmp_path, base_cfg)
+        for origin in ("-1", "669"):  # 700 rows, a 32-row window
+            capsys.readouterr()
+            code = main(["inspect-spectrum", os.path.join(out, "checkpoint.bin"),
+                         "--origin", origin, "--out", str(tmp_path / "io")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "outside the series" in err and "Traceback" not in err
+            assert not os.path.exists(str(tmp_path / "io"))
+
     def test_nonfinite_diagnostics_exit_3_without_output(self, tmp_path, base_cfg, capsys):
         path = nan_checkpoint(tmp_path, base_cfg, param="b0.bank.a")
         code = main(["inspect-spectrum", path, "--out", str(tmp_path / "in")])
@@ -498,3 +540,9 @@ class TestGridCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert os.path.exists(os.path.join(out, "checkpoint.bin"))
+        # the saved store is the winner's: eval reproduces the grid's test MSE
+        grid_report = json.loads(open(os.path.join(out, "report.json")).read())
+        capsys.readouterr()
+        assert main(["eval", os.path.join(out, "checkpoint.bin"),
+                     "--out", str(tmp_path / "ge")]) == 0
+        assert json.loads(capsys.readouterr().out)["mse"] == grid_report["mse"]

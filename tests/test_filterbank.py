@@ -6,14 +6,16 @@ import pytest
 from adamoge import autodiff as ad
 from adamoge import filterbank as fb
 from adamoge.autodiff import ParameterStore, Variable
+from adamoge.moge import ModelConfig
 from adamoge.spectral import spectrum_of
 
 from oracles import dog_response, passbands
 
 
-def make_bank(e_max=3, bins=9, **kw):
+def make_bank(e_max=3, bins=9, mode="dog", family="gaussian", **kw):
     store = ParameterStore()
-    bank = fb.FilterBank(store, "bank", e_max=e_max, bins=bins, **kw)
+    cfg = ModelConfig(e_max=e_max, filter_mode=mode, filter_family=family, **kw)
+    bank = fb.FilterBank(store, "bank", bins, cfg.validate(2 * (bins - 1)))
     return store, bank
 
 
@@ -132,11 +134,10 @@ class TestInit:
             assert np.all(f2.value <= bank.f_nyq)
 
     def test_bad_args_rejected(self):
-        store = ParameterStore()
         with pytest.raises(ValueError):
-            fb.FilterBank(store, "x", e_max=0, bins=9)
+            ModelConfig(e_max=0).validate(2 * (9 - 1))
         with pytest.raises(ValueError):
-            fb.FilterBank(store, "y", e_max=2, bins=9, mode="boxcar")
+            ModelConfig(e_max=2, filter_mode="boxcar").validate(2 * (9 - 1))
 
 
 class TestApply:
@@ -200,8 +201,7 @@ class TestApply:
     def test_abs_mode_is_magnitude_of_dog(self):
         rng = np.random.default_rng(9)
         store, bank = make_bank(e_max=3, bins=9)
-        store2 = ParameterStore()
-        bank2 = fb.FilterBank(store2, "bank", e_max=3, bins=9, mode="abs-dog")
+        store2, bank2 = make_bank(e_max=3, bins=9, mode="abs-dog")
         spec = random_spectrum(rng)
         h1 = bank.evaluate(spec).h.value
         h2 = bank2.evaluate(spec).h.value

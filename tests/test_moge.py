@@ -355,6 +355,8 @@ class TestForward:
         ({"sigma_min": 30.0}, "model.sigma_min"),
         ({"feature_dim": 0}, "model.feature_dim"),
         ({"depth": 0}, "model.depth"),
+        ({"filter_mode": "boxcar"}, "model.filter.mode"),
+        ({"filter_family": "box"}, "model.filter.family"),
     ])
     def test_bad_model_config_rejected_at_build(self, kw, key):
         with pytest.raises(ValueError, match=key):

@@ -12,6 +12,8 @@ from adamoge.moge import AdaMoGeModel, ModelConfig
 from adamoge.synthetic import sinusoid_table
 from adamoge.training import Adam, TrainConfig, cosine_lr, fit, grid_combinations, grid_search
 
+from oracles import adam_poisoned_from
+
 
 class TestMetrics:
     def test_identical_inputs_are_zero(self):
@@ -192,6 +194,25 @@ class TestFit:
         for p in store:
             assert np.all(np.isfinite(p.value))
 
+    def test_nonfinite_gradient_aborts_and_keeps_best_state(self, monkeypatch):
+        # the loss stays finite but the gradient is NaN from the first step of
+        # epoch 1 on: Adam.step raises, and fit keeps the state that epoch 0
+        # ended with, the only one it validated
+        ds = tiny_dataset()
+        tc = TrainConfig(epochs=3, batch_size=64, seed=2)
+        per_epoch = math.ceil(len(data.window_origins(ds.split.train, 32, 8)) / tc.batch_size)
+        poisoned = adam_poisoned_from(per_epoch)
+        monkeypatch.setattr(training, "Adam", poisoned)
+        store, model = tiny_model(ds)
+        result = fit(model, ds, tc)
+        assert result.diverged
+        assert result.epochs_run == 2 and len(result.history) == 1
+        assert result.best_val_mse == result.history[0][2]
+        assert np.isfinite(result.report.mse)
+        for name, arr in poisoned.poisoned_state.items():
+            assert np.all(np.isfinite(arr))
+            assert store[name].value.tobytes() == arr.tobytes(), name
+
     def test_model_selection_never_reads_test_rows(self, monkeypatch):
         ds = tiny_dataset()
         store, model = tiny_model(ds)
@@ -302,6 +323,8 @@ class TestReport:
         report = training.EvalReport("synth", 8, 0.5, 0.4, 123, 1.5, "abc")
         keys = list(json.loads(report.to_json()).keys())
         assert keys == ["dataset", "horizon", "mse", "mae", "params", "seconds", "fingerprint"]
+        assert list(training.CSV_COLUMNS) == keys
+        assert report.csv_row() == "synth,8,0.5,0.4,123,1.5,abc"
 
     def test_content_hash_ignores_seconds(self):
         a = training.EvalReport("d", 96, 0.1, 0.2, 10, 1.0, "f")
