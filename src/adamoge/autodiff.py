@@ -1,13 +1,16 @@
 """Minimal dense-array reverse-mode differentiation on float64 numpy arrays.
 
 Complex quantities are carried in one format: a real array packed
-``[re | im]`` along its last axis, so every gradient buffer is real and
+``[re | im]`` along its last axis, so every gradient is real and
 finite-difference checks apply uniformly.  ``rfft_op`` and ``irfft_op`` are
 the only places that convert between it and the (re, im) pairs of
 :mod:`fourier`, and complex products (``magnitude``, ``complex_expert_map``)
 are written out in real arithmetic: no complex dtype is used anywhere.
 A :class:`Tape` records primitive applications in order, one output
 Variable per node; ``Tape.backward`` replays their adjoints in reverse.
+One gradient rule holds for every Variable: ``grad`` is ``None`` until a
+cotangent arrives, the first is adopted, later ones are added out of place,
+and nothing, adjoints included, writes into a cotangent.
 When no tape is active the same ops run value-only, which is the inference
 path.
 """
@@ -31,7 +34,8 @@ def _as_array(value) -> np.ndarray:
 
 
 class Variable:
-    """A float64 array plus a slot for its accumulated cotangent."""
+    """A float64 array plus its gradient (``None`` until a backward reaches
+    it; may share memory with other gradients, so never write into it)."""
 
     __slots__ = ("value", "grad")
 
@@ -70,14 +74,13 @@ class Variable:
 
 
 class Parameter(Variable):
-    """Named learnable leaf with a persistent, pre-allocated gradient buffer."""
+    """Named learnable leaf."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, value):
         super().__init__(value)
         self.name = name
-        self.grad = np.zeros_like(self.value)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -112,8 +115,9 @@ class ParameterStore:
         return list(self._params)
 
     def zero_grads(self) -> None:
+        """Forget every gradient (``None`` reads as zero)."""
         for p in self._params.values():
-            p.grad[...] = 0.0
+            p.grad = None
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}
@@ -126,15 +130,6 @@ class ParameterStore:
             p.value[...] = arr
 
 
-class _Node:
-    __slots__ = ("inputs", "output", "bwd")
-
-    def __init__(self, inputs, output, bwd):
-        self.inputs = inputs
-        self.output = output
-        self.bwd = bwd
-
-
 # active tapes, innermost last
 _TAPES: list["Tape"] = []
 
@@ -143,7 +138,7 @@ class Tape:
     """Ordered record of primitive applications for one forward pass."""
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple] = []  # (inputs, output, adjoint) per node
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -156,23 +151,24 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Variable) -> None:
-        """Accumulate d(loss)/d(leaf) into every reachable Variable's .grad."""
+        """Add d(loss)/d(leaf) to every reachable leaf's ``grad``.  Each
+        node's output cotangent is dropped once its adjoint has run, so
+        afterwards only leaves hold gradients."""
         if loss.value.size != 1:
             raise ValueError("backward expects a scalar loss")
         loss.grad = np.ones_like(loss.value)
-        for node in reversed(self._nodes):
-            if node.output.grad is None:
+        for inputs, out, bwd in reversed(self._nodes):
+            if out.grad is None:
                 continue
-            ingrads = node.bwd(node.output.grad)
-            for var, g in zip(node.inputs, ingrads):
-                if var.grad is None:
-                    var.grad = np.zeros_like(var.value)
-                var.grad += g
+            ingrads = bwd(out.grad)
+            out.grad = None
+            for var, g in zip(inputs, ingrads):
+                var.grad = g if var.grad is None else var.grad + g
 
 
 def _record(inputs: Sequence[Variable], out: Variable, bwd: Callable):
     if _TAPES:
-        _TAPES[-1]._nodes.append(_Node(tuple(inputs), out, bwd))
+        _TAPES[-1]._nodes.append((tuple(inputs), out, bwd))
 
 
 def as_variable(x) -> Variable:
@@ -530,7 +526,8 @@ def grad_check(
     finite-difference noise floor of float64.
 
     ``loss_fn`` must be a deterministic scalar function of the store's current
-    values.  ``names`` restricts the check to a subset of the parameters.
+    values.  ``names`` restricts the check to a subset of the parameters.  A
+    parameter the backward does not reach has analytic gradient zero.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
@@ -545,7 +542,7 @@ def grad_check(
         if not np.isfinite(loss.value).all():
             raise NumericError("loss is non-finite at the evaluation point")
         tape.backward(loss)
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = {p.name: np.zeros(p.value.size) if p.grad is None else p.grad for p in params}
 
     worst = 0.0
     for p in params:

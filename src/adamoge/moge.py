@@ -70,7 +70,7 @@ class ModelConfig:
         for name in ("sigma_min", "alpha"):
             if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValueError(f"model.{name} must be > 0, got {getattr(self, name)}")
-        for name in ("sigma0", "sigma_max"):
+        for name in ("sigma0", "sigma_max", "fixed_k"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"model.{name} must be >= 0 (0 = auto), got {getattr(self, name)}")
         f_nyq = float(lookback // 2)
@@ -78,7 +78,7 @@ class ModelConfig:
             self,
             sigma0=self.sigma0 or f_nyq / (2.0 * self.e_max),
             sigma_max=self.sigma_max or f_nyq / 2.0,
-            fixed_k=self.fixed_k if self.fixed_k > 0 else (self.e_max + 1) // 2,
+            fixed_k=self.fixed_k or (self.e_max + 1) // 2,
         )
         if cfg.sigma_max < cfg.sigma_min:
             raise ValueError(f"model.sigma_max {cfg.sigma_max} is below model.sigma_min "

@@ -48,8 +48,9 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, min_lr: float) -> flo
 
 
 class Adam:
-    """Bias-corrected Adam over a ParameterStore; zeroes gradients after each
-    step and rejects non-finite gradients by parameter name."""
+    """Bias-corrected Adam over a ParameterStore.  A ``None`` gradient counts
+    as zero.  ``step`` rejects a non-finite gradient by parameter name before
+    it writes anything, and clears the gradients after an update."""
 
     def __init__(self, store: ParameterStore, betas=(0.9, 0.999), eps: float = 1e-8):
         self.store = store
@@ -60,14 +61,15 @@ class Adam:
         self._v = {p.name: np.zeros_like(p.value) for p in store}
 
     def step(self, lr: float) -> None:
+        for p in self.store:
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise NumericError(f"non-finite gradient in parameter {p.name!r}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         for p in self.store:
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient in parameter {p.name!r}")
+            g = 0.0 if p.grad is None else p.grad
             m = self._m[p.name]
             v = self._v[p.name]
             m *= self.beta1

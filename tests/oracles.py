@@ -106,7 +106,8 @@ def adam_poisoned_from(step: int) -> type:
         def step(self, lr: float) -> None:
             if self.step_count >= step:
                 PoisonedAdam.poisoned_state = self.store.state_dict()
-                next(iter(self.store)).grad[...] = np.nan
+                first = next(iter(self.store))
+                first.grad = np.full_like(first.value, np.nan)
             super().step(lr)
 
     return PoisonedAdam

@@ -1,3 +1,5 @@
+import pathlib
+import re
 import zlib
 
 import numpy as np
@@ -10,6 +12,7 @@ from adamoge.autodiff import (
     Variable,
     grad_check,
 )
+from adamoge.moge import AdaMoGeModel, ModelConfig
 
 
 def make_store(**arrays):
@@ -27,7 +30,12 @@ class TestStore:
 
     def test_grad_buffer_matches_shape(self):
         store = make_store(w=np.zeros((2, 3)))
+        assert store["w"].grad is None
+        with Tape() as tape:
+            tape.backward(ad.vsum(ad.square(store["w"])))
         assert store["w"].grad.shape == (2, 3)
+        store.zero_grads()
+        assert store["w"].grad is None
 
     def test_state_roundtrip_bit_exact(self):
         rng = np.random.default_rng(0)
@@ -66,6 +74,118 @@ class TestBackward:
         x = Variable(np.ones(4))
         y = ad.square(x)
         assert y.grad is None and x.grad is None
+
+
+def small_model(**cfg_kw):
+    store = ParameterStore()
+    cfg = ModelConfig(**{"e_max": 4, "feature_dim": 8, **cfg_kw})
+    model = AdaMoGeModel(store, 32, 16, 2, cfg, seed=5)
+    rng = np.random.default_rng(6)
+    return store, model, rng.standard_normal((3, 32, 2)), rng.standard_normal((3, 16, 2))
+
+
+class TestGradientRule:
+    """One rule for every Variable: ``grad`` stays None until a cotangent
+    arrives, the first is adopted, later ones are added out of place, and a
+    node's output cotangent is dropped once its adjoint has run."""
+
+    def test_second_backward_adds_exactly_once_more(self):
+        store = make_store(w=np.array([0.3, -1.2, 0.7]))
+        with Tape() as tape:
+            loss = ad.vsum(ad.square(ad.exp(store["w"]) * 2.0))
+            tape.backward(loss)
+            once = store["w"].grad.copy()
+            tape.backward(loss)
+        assert np.allclose(once, 8.0 * np.exp(2.0 * store["w"].value))
+        assert np.array_equal(store["w"].grad, 2.0 * once)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_only_leaves_keep_gradients(self, depth):
+        store, model, x, y = small_model(depth=depth)
+        xv = Variable(x)
+        with Tape() as tape:
+            loss = ad.vmean(ad.square(model.forward(xv) - y))
+            tape.backward(loss)
+        outputs = [out for _, out, _ in tape._nodes]
+        assert all(out.grad is None for out in outputs)
+        assert xv.grad is not None and xv.grad.shape == xv.shape
+        for p in store:
+            assert p.grad is None or p.grad.shape == p.shape, p.name
+        assert store["b0.experts.wre"].grad is not None
+
+    def test_shared_cotangent_stays_independent(self):
+        # ``add`` hands its one cotangent object to both inputs; ``a * d`` is
+        # recorded first, so its contribution to ``a`` arrives after that
+        # and must not reach ``b``
+        c = np.array([1.0, 2.0, 3.0])
+        d = np.array([0.5, -0.25, 4.0])
+        store = make_store(a=np.array([1.0, -1.0, 2.0]), b=np.zeros(3))
+        a, b = store["a"], store["b"]
+        with Tape() as tape:
+            t = a * d
+            loss = ad.vsum((a + b) * c) + ad.vsum(t)
+            tape.backward(loss)
+        assert np.array_equal(b.grad, c)
+        assert np.array_equal(a.grad, c + d)
+
+    @pytest.mark.parametrize("cfg_kw", [
+        {},
+        {"depth": 3},
+        {"filter_family": "truncation"},
+        {"filter_mode": "abs-dog"},
+        {"adaptive_k": False, "fixed_k": 2},
+    ], ids=["default", "depth3", "truncation", "abs-dog", "fixed-k"])
+    def test_adjoints_never_write_into_their_cotangent(self, cfg_kw):
+        store, model, x, y = small_model(**cfg_kw)
+        with Tape() as tape:
+            loss = ad.vmean(ad.square(model.forward(Variable(x)) - y))
+            tape.backward(loss)
+            plain = {p.name: None if p.grad is None else p.grad.copy() for p in store}
+            store.zero_grads()
+
+            def read_only(bwd):
+                def run(g):
+                    g.flags.writeable = False
+                    return bwd(g)
+                return run
+
+            tape._nodes = [(ins, out, read_only(bwd)) for ins, out, bwd in tape._nodes]
+            tape.backward(loss)
+        for p in store:
+            if plain[p.name] is None:
+                assert p.grad is None, p.name
+            else:
+                assert p.grad.tobytes() == plain[p.name].tobytes(), p.name
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "adamoge"
+# augmented or subscripted assignment to a ``.grad``, or a ``.grad`` used as
+# an ``out=`` target or filled; rebinding (``x.grad = ...``) is the rule
+GRAD_WRITE = re.compile(
+    r"\.grad(\[[^\]]*\])?\s*(\*\*|//|>>|<<|[-+*/@%&|^])=|\.grad\[[^\]]*\]\s*=(?!=)"
+    r"|out=[^,)]*\.grad\b|\.grad\.(fill|put|itemset)\(|copyto\([^,]*\.grad\b"
+)
+
+
+def test_grad_write_pattern_fires():
+    for line in ("p.grad += g", "p.grad[...] = 0.0", "v.grad[0] *= 2",
+                 "np.add(a, b, out=var.grad)", "p.grad.fill(0.0)"):
+        assert GRAD_WRITE.search(line), line
+    for line in ("var.grad = g if var.grad is None else var.grad + g", "p.grad = None",
+                 "if p.grad[0] == 0.0:"):
+        assert not GRAD_WRITE.search(line), line
+
+
+def test_source_writes_no_gradient_in_place():
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources under {SRC}"
+    hits = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in files
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if GRAD_WRITE.search(line)
+    ]
+    assert not hits, "in-place gradient write in src:\n" + "\n".join(hits)
 
 
 def fd_check(build, params, eps=1e-5, tol=1e-6):

@@ -71,6 +71,7 @@ BAD_VALUES = [
     (["--override", "model.feature_dim=0"], "model.feature_dim"),
     (["--override", "model.fixed_k=9", "--override", "model.adaptive_k=false"],
      "model.fixed_k"),
+    (["--override", "model.fixed_k=-3"], "model.fixed_k"),
     (["--override", "data.lookback=1"], "data.lookback"),
     (["--override", "data.horizon=0"], "data.horizon"),
     (["--override", "data.lookback=2048"], "data.lookback"),

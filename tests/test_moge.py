@@ -357,6 +357,7 @@ class TestForward:
         ({"depth": 0}, "model.depth"),
         ({"filter_mode": "boxcar"}, "model.filter.mode"),
         ({"filter_family": "box"}, "model.filter.family"),
+        ({"fixed_k": -3}, "model.fixed_k"),
     ])
     def test_bad_model_config_rejected_at_build(self, kw, key):
         with pytest.raises(ValueError, match=key):

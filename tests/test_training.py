@@ -59,7 +59,7 @@ class TestAdam:
     def test_single_step_hand_computed(self):
         store = ParameterStore()
         p = store.add("w", np.array([0.5]))
-        p.grad[...] = 1.0
+        p.grad = np.ones(1)
         Adam(store).step(0.1)
         # m_hat = v_hat = 1 after bias correction: update = 0.1/(1 + 1e-8)
         assert abs((0.5 - p.value[0]) - 0.1 / (1.0 + 1e-8)) < 1e-15
@@ -93,9 +93,24 @@ class TestAdam:
         store = ParameterStore()
         store.add("fine", np.ones(2))
         bad = store.add("broken", np.ones(2))
-        bad.grad[0] = np.nan
+        bad.grad = np.array([np.nan, 0.0])
         with pytest.raises(ad.NumericError, match="broken"):
             Adam(store).step(0.1)
+
+    def test_nonfinite_gradient_leaves_state_untouched(self):
+        # the finiteness check runs over every parameter before any update
+        store = ParameterStore()
+        a = store.add("a", np.ones(2))
+        b = store.add("b", np.ones(2))
+        a.grad = np.ones(2)
+        b.grad = np.array([1.0, np.nan])
+        opt = Adam(store)
+        with pytest.raises(ad.NumericError, match="'b'"):
+            opt.step(0.1)
+        assert opt.step_count == 0
+        for p in (a, b):
+            assert np.array_equal(p.value, np.ones(2))
+            assert not np.any(opt._m[p.name]) and not np.any(opt._v[p.name])
 
 
 class TestCosine:
