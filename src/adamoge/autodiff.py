@@ -74,12 +74,13 @@ class Variable:
 
 
 class Parameter(Variable):
-    """Named learnable leaf."""
+    """Named learnable leaf.  It owns its value: the array it is built from
+    is copied, so in-place updates never reach the caller's array."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, value):
-        super().__init__(value)
+        super().__init__(np.array(value, dtype=np.float64, order="C"))
         self.name = name
 
     def __repr__(self) -> str:
@@ -403,41 +404,70 @@ def magnitude(spec) -> Variable:
     return out
 
 
-def complex_expert_map(x, wre, wim, bre, bim) -> Variable:
-    """Per-expert complex affine map on expert-major sub-band spectra.
+def complex_expert_map(x, w, mask: np.ndarray, wre, wim) -> Variable:
+    """Gate-weighted sum of per-expert complex linear maps on expert-major
+    sub-band spectra, as one GEMM on the input side.
 
-    x: (E, B, V, 2*F) packed ``[re | im]``, w: (E, O, F) pair, b: (E, O) pair
-    -> y: (E, B, V, 2*O) with y[e,b,v] = w[e] @ x[e,b,v] + b[e], packed the
-    same way.  In real arithmetic this is one batched GEMM over the experts,
-    [yre | yim] = [xre | xim] @ M_e + [bre | bim] on expert e's contiguous
-    (B*V, 2F) block, with the (2F, 2O) block matrix
-    M_e = [[wre^T, wim^T], [-wim^T, wre^T]] built on each call.
+    x: (E, B, V, 2*F) packed ``[re | im]``, w and mask: (B, E), weight pair
+    wre, wim: (E, O, F) -> y: (B, V, 2*O) with
+    y[b,v] = sum over e in mask[b] of w[b,e] * (W[e] @ x[e,b,v]), packed the
+    same way.  Both the map and the mix are linear, so in real arithmetic
+    y = [w_1 x_1 | ... | w_U x_U] @ [M_1; ...; M_U], where
+    M_e = [[wre^T, wim^T], [-wim^T, wre^T]] is expert e's (2F, 2O) block
+    matrix and 1..U are the experts that some sample of the batch selects.
+    The weighted sub-bands are laid out sample-major, (B*V, U*2F), and no
+    per-expert output exists in either pass.
+
+    Masking.  A masked pair's sub-band is replaced by zeros before it is
+    weighted, so its values, non-finite too, reach nothing.  An expert that no
+    sample selects is never read and gets an exact zero gradient.  An
+    expert that some samples select is read by every row of the GEMM, so
+    only *finite* weights stay per-sample inert: a sample that does not
+    select it multiplies them by an exact zero, while a NaN or inf weight
+    reaches that sample as 0 * NaN.
     """
-    x = as_variable(x)
+    x, w = as_variable(x), as_variable(w)
     wre, wim = as_variable(wre), as_variable(wim)
-    bre, bim = as_variable(bre), as_variable(bim)
-    edim, bdim, vdim = x.value.shape[:3]
+    edim, bdim, vdim, packed = x.value.shape
     odim, fdim = wre.value.shape[1:]
-    m = np.empty((edim, 2 * fdim, 2 * odim))
-    m[:, :fdim, :odim] = m[:, fdim:, odim:] = wre.value.transpose(0, 2, 1)
-    m[:, :fdim, odim:] = wim.value.transpose(0, 2, 1)
+    used = mask.any(axis=0).nonzero()[0]
+    udim = used.size
+    m = np.empty((udim, 2 * fdim, 2 * odim))
+    m[:, :fdim, :odim] = m[:, fdim:, odim:] = wre.value[used].transpose(0, 2, 1)
+    m[:, :fdim, odim:] = wim.value[used].transpose(0, 2, 1)
     np.negative(m[:, :fdim, odim:], out=m[:, fdim:, :odim])
-    bias = np.concatenate([bre.value, bim.value], axis=1)[:, None]
-    rows = x.value.reshape(edim, bdim * vdim, 2 * fdim)
-    y = rows @ m
-    y += bias
-    out = Variable(y.reshape(edim, bdim, vdim, 2 * odim))
+    m = m.reshape(udim * packed, 2 * odim)
+    dropped = ~mask[:, used]  # (B, U) pairs outside the mask
+    wsel = np.where(mask, w.value, 0.0)[:, None, used, None]
+
+    def sample_major(a):
+        """A copy of the used experts' blocks of an (E, B, V, 2F) array as
+        (B, V, U, 2F), zero on the dropped pairs."""
+        a = a.transpose(1, 2, 0, 3)[:, :, used]
+        a.transpose(0, 2, 1, 3)[dropped] = 0.0
+        return a
+
+    lhs = sample_major(x.value)
+    lhs *= wsel
+    lhs = lhs.reshape(bdim * vdim, udim * packed)
+    out = Variable((lhs @ m).reshape(bdim, vdim, 2 * odim))
 
     def bwd(gy):
-        grows = gy.reshape(edim, bdim * vdim, 2 * odim)
-        gx = (grows @ m.transpose(0, 2, 1)).reshape(x.value.shape)
-        gm = rows.transpose(0, 2, 1) @ grows
-        gwre = (gm[:, :fdim, :odim] + gm[:, fdim:, odim:]).transpose(0, 2, 1)
-        gwim = (gm[:, :fdim, odim:] - gm[:, fdim:, :odim]).transpose(0, 2, 1)
-        gb = grows.sum(axis=1)
-        return gx, gwre, gwim, gb[:, :odim].copy(), gb[:, odim:].copy()
+        grows = gy.reshape(bdim * vdim, 2 * odim)
+        glhs = (grows @ m.T).reshape(bdim, vdim, udim, packed)
+        glhs.transpose(0, 2, 1, 3)[dropped] = 0.0  # exact zeros for dropped pairs
+        gw = np.zeros(w.value.shape)
+        gw[:, used] = np.einsum("bvuf,bvuf->bu", sample_major(x.value), glhs)
+        glhs *= wsel
+        gx = np.zeros(x.value.shape)
+        gx.transpose(1, 2, 0, 3)[:, :, used] = glhs
+        gm = (lhs.T @ grows).reshape(udim, packed, 2 * odim)
+        gwre, gwim = np.zeros(wre.value.shape), np.zeros(wim.value.shape)
+        gwre[used] = (gm[:, :fdim, :odim] + gm[:, fdim:, odim:]).transpose(0, 2, 1)
+        gwim[used] = (gm[:, :fdim, odim:] - gm[:, fdim:, :odim]).transpose(0, 2, 1)
+        return gx, gw, gwre, gwim
 
-    _record((x, wre, wim, bre, bim), out, bwd)
+    _record((x, w, wre, wim), out, bwd)
     return out
 
 
@@ -482,21 +512,25 @@ def irfft_op(spec, n: int) -> Variable:
 
 def masked_weighted_sum(y, w, mask: np.ndarray) -> Variable:
     """sum_e w[b,e] * y[e,b,...] restricted to mask, for expert-major y and
-    (B, E) w and mask.  Products are formed only where the mask holds, so a
-    masked-out expert's values, non-finite ones too, reach neither the
-    output bits nor the gradients."""
+    (B, E) w and mask.  y's B axis may be 1, one value per expert shared by
+    every sample (the experts' biases); its cotangent is then summed over
+    the samples.  Products are formed only where the mask holds: a
+    masked-out (sample, expert) pair's values, non-finite ones too, reach
+    neither that sample's output bits nor any gradient, and a shared value
+    reaches only the samples that select its expert."""
     y, w = as_variable(y), as_variable(w)
     shape = mask.T.shape + (1,) * (y.value.ndim - 2)
     m, wexp = mask.T.reshape(shape), w.value.T.reshape(shape)
+    full = np.broadcast_shapes(y.value.shape, shape)
 
     def masked_mul(a, b):
-        return np.multiply(a, b, out=np.zeros_like(y.value), where=m)
+        return np.multiply(a, b, out=np.zeros(full), where=m)
 
     out = Variable(masked_mul(y.value, wexp).sum(axis=0))
 
     def bwd(g):
         gw = masked_mul(y.value, g).sum(axis=tuple(range(2, y.value.ndim))).T
-        return masked_mul(g, wexp), gw
+        return _unbroadcast(masked_mul(g, wexp), y.value.shape), gw
 
     _record((y, w), out, bwd)
     return out

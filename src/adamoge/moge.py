@@ -3,14 +3,21 @@
 Per input window the layer (a) summarises the spectrum into gate features,
 (b) predicts how many experts to activate (a sigmoid-bounded count head with
 straight-through rounding), (c) scores all experts with a softmax gating
-network and keeps the top K with renormalised weights, (d) runs every
-expert, a complex affine map shared across variables, on its band-passed
-sub-spectrum, and (e) mixes the experts' output spectra with the gate
-weights and inverts the mixture once per (sample, variable); the inverse
-transform is linear, so this equals mixing the experts' time-domain
-forecasts.  Experts outside the selection are hard-masked: the mix writes
-literal zeros in their place, so their values never reach the output, and
-they receive no gradient.
+network and keeps the top K with renormalised weights, and (d) forms the
+gate-weighted mix of the selected experts, each a complex affine map
+shared across variables on its band-passed sub-spectrum, and inverts the
+mixed spectrum once per (sample, variable).  Map, mix and inverse
+transform are linear, so the weights scale the sub-bands before one GEMM
+over the stacked maps of every expert some sample selects, and the result
+equals mixing the experts' time-domain forecasts.
+
+Masking.  A (sample, expert) pair outside the selection forms no product:
+its sub-band and bias never reach the output, and it receives no
+gradient.  An expert that no sample of the batch selects is never read,
+so even non-finite weights of it are inert.  An expert that some samples
+select is read for the whole batch: its finite weights stay bit-inert for
+the samples that do not select it (they multiply exact zeros), but a NaN
+or inf weight reaches them as 0 * NaN.
 
 Depth > 1 stacks length-preserving blocks (band mixing plus a residual
 pointwise feed-forward over the time axis); the final block maps the
@@ -19,8 +26,9 @@ lookback to the horizon.
 Blocks work per variable along time, in the (B, V, T) layout: one series
 per (sample, variable) row.  The model transposes the public (B, L, V)
 window once on entry and its (B, V, H) forecast once on exit.  Per-expert
-tensors are expert-major from the bank's responses (E, B, F) to the mix, so
-each expert's rows are one contiguous block; the gate's outputs and
+tensors are expert-major, from the bank's responses (E, B, F) to the
+sub-bands (E, B, V, 2F); the expert map reads them sample-major and writes
+the mixed (B, V, 2O) spectrum.  The gate's outputs and
 ``BlockDiagnostics`` stay (B, E).
 """
 
@@ -197,11 +205,16 @@ class AdaMoGeBlock:
             k_hat, k = None, np.full(p.value.shape[0], self.cfg.fixed_k, np.int64)
         return select_topk(p, k), k_hat, p
 
-    def experts_forward(self, sub: Variable) -> Variable:
-        """All experts on their expert-major (E, B, V, 2 * bins) sub-bands ->
-        output half spectra (E, B, V, 2 * out_bins), both packed ``[re | im]``;
-        not yet inverted."""
-        return ad.complex_expert_map(sub, self.ewre, self.ewim, self.ebre, self.ebim)
+    def experts_forward(self, sub: Variable, decision: GateDecision) -> Variable:
+        """The gate's mix of the selected experts' output half spectra,
+        (B, V, 2 * out_bins), from the expert-major (E, B, V, 2 * bins)
+        sub-bands, both packed ``[re | im]``; not yet inverted.  The maps run
+        as one GEMM on the gate-weighted sub-bands; the biases, which do not
+        depend on the input, are mixed per sample on their own."""
+        w, mask = decision.weights, decision.mask
+        mapped = ad.complex_expert_map(sub, w, mask, self.ewre, self.ewim)
+        bias = ad.reshape(ad.concat([self.ebre, self.ebim], axis=1), (self.cfg.e_max, 1, 1, -1))
+        return mapped + ad.masked_weighted_sum(bias, w, mask)
 
     def _ffn(self, y: Variable) -> Variable:
         b, v, t = y.value.shape
@@ -215,10 +228,9 @@ class AdaMoGeBlock:
         summary = summarize(spec)
         decision, k_hat, probs = self.gate_decision(summary.chi)
         sub, bp = self.bank.apply(spec)
-        expert_spec = self.experts_forward(sub)
         # the inverse transform is linear, so the gate mixes the spectra and
         # each (B, V) row is inverted once
-        spec_mix = ad.masked_weighted_sum(expert_spec, decision.weights, decision.mask)
+        spec_mix = self.experts_forward(sub, decision)
         gain = self.out_len / self.in_len
         if k_hat is not None:
             st = straight_through_scale(k_hat, decision.k)

@@ -60,6 +60,16 @@ def complex_matvec(w, x):
     return [sum(wrow[j] * x[j] for j in range(len(x))) for wrow in w]
 
 
+def expert_spectra(sub, wre, wim, bre, bim) -> np.ndarray:
+    """Every expert's complex affine map on every sample, in complex numpy:
+    expert-major sub-bands (E, B, V, 2F) packed ``[re | im]`` ->
+    (E, B, V, 2O) packed the same way, y[e,b,v] = W[e] @ x[e,b,v] + b[e]."""
+    f = sub.shape[-1] // 2
+    x = sub[..., :f] + 1j * sub[..., f:]
+    y = np.einsum("eof,ebvf->ebvo", wre + 1j * wim, x) + (bre + 1j * bim)[:, None, None]
+    return np.concatenate([y.real, y.imag], axis=-1)
+
+
 def dog_response(f1, f2, sigma, freqs) -> np.ndarray:
     """Difference-of-Gaussians response at the given frequencies (bin units).
 

@@ -37,6 +37,14 @@ class TestStore:
         store.zero_grads()
         assert store["w"].grad is None
 
+    def test_parameter_owns_its_value(self):
+        arr = np.ones(3)
+        store = ParameterStore()
+        p = store.add("w", arr)
+        p.value -= 0.5
+        store.load_state_dict({"w": np.zeros(3)})
+        assert np.all(arr == 1.0)
+
     def test_state_roundtrip_bit_exact(self):
         rng = np.random.default_rng(0)
         store = make_store(a=rng.standard_normal(5), b=rng.standard_normal((2, 2)))
@@ -298,13 +306,27 @@ class TestPrimitiveAdjoints:
             err = fd_check(build, params)
             assert err < 1e-6, f"n={n}: {err}"
 
+    # expert 0 selected by samples 0 and 1, expert 1 by samples 1 and 2,
+    # expert 2 by none
+    MAP_MASK = np.array([[True, False, False], [True, True, False], [False, True, False]])
+
+    @staticmethod
+    def _mixed_map(x, w, mask, wre, wim, bre, bim):
+        """The gate's mix of the experts' affine maps, as the block forms it:
+        the map on the input side plus the per-sample mix of the biases."""
+        e = bre.value.shape[0]
+        bias = ad.reshape(ad.concat([bre, bim], axis=1), (e, 1, 1, -1))
+        return ad.complex_expert_map(x, w, mask, wre, wim) + ad.masked_weighted_sum(bias, w, mask)
+
     def test_complex_expert_map_adjoint(self):
         rng = np.random.default_rng(14)
-        b, e, v, f, o = 2, 2, 2, 4, 3
+        b, e, v, f, o = 3, 3, 2, 4, 3
+        mask = self.MAP_MASK
         params = {
             "x": np.concatenate(
-                [rng.standard_normal((b, e, v, f)), rng.standard_normal((b, e, v, f))], axis=-1
+                [rng.standard_normal((e, b, v, f)), rng.standard_normal((e, b, v, f))], axis=-1
             ),
+            "w": rng.uniform(0.1, 1.0, size=(b, e)),
             "wre": rng.standard_normal((e, o, f)),
             "wim": rng.standard_normal((e, o, f)),
             "bre": rng.standard_normal((e, o)),
@@ -312,59 +334,75 @@ class TestPrimitiveAdjoints:
         }
 
         def build(s):
-            y = ad.complex_expert_map(s["x"], s["wre"], s["wim"], s["bre"], s["bim"])
+            y = self._mixed_map(s["x"], s["w"], mask, s["wre"], s["wim"], s["bre"], s["bim"])
             return ad.vsum(ad.square(y))
 
         err = fd_check(build, params)
         assert err < 1e-6
 
-    @staticmethod
-    def _complex_map_case(rng, b=2, e=3, v=2, f=7, o=5):
-        """Complex input, weights and biases of an expert map with odd F != O."""
+    def _complex_map_case(self, rng, v=2, f=7, o=5):
+        """Complex input, weights and biases of an expert map with odd F != O,
+        and gate weights, on MAP_MASK's (B, E) = (3, 3)."""
+        b, e = self.MAP_MASK.shape
 
         def crandn(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        return crandn(b, e, v, f), crandn(e, o, f), crandn(e, o)
+        gate = rng.uniform(0.1, 1.0, size=(b, e))
+        return crandn(b, e, v, f), crandn(e, o, f), crandn(e, o), gate
 
     def test_complex_expert_map_matches_loop_oracle(self):
         from oracles import complex_matvec
 
         rng = np.random.default_rng(15)
-        x, w, bias = self._complex_map_case(rng)
+        x, w, bias, gate = self._complex_map_case(rng)
         o = w.shape[1]
         xe = x.transpose(1, 0, 2, 3)  # expert-major
-        y = ad.complex_expert_map(
-            np.concatenate([xe.real, xe.imag], axis=-1), w.real, w.imag, bias.real, bias.imag,
+        y = self._mixed_map(
+            Variable(np.concatenate([xe.real, xe.imag], axis=-1)), Variable(gate), self.MAP_MASK,
+            *(Variable(a) for a in (w.real, w.imag, bias.real, bias.imag)),
         ).value
-        for b, e, v in np.ndindex(x.shape[:3]):
-            want = np.array(complex_matvec(w[e].tolist(), x[b, e, v].tolist())) + bias[e]
-            got = y[e, b, v, :o] + 1j * y[e, b, v, o:]
-            assert np.max(np.abs(got - want)) < 1e-10, (b, e, v)
+        for b, v in np.ndindex(x.shape[0], x.shape[2]):
+            want = sum(
+                gate[b, e] * (np.array(complex_matvec(w[e].tolist(), x[b, e, v].tolist())) + bias[e])
+                for e in np.flatnonzero(self.MAP_MASK[b])
+            )
+            got = y[b, v, :o] + 1j * y[b, v, o:]
+            assert np.max(np.abs(got - want)) < 1e-10, (b, v)
 
     def test_complex_expert_map_gradients_match_complex_reference(self):
         rng = np.random.default_rng(19)
-        x, w, bias = self._complex_map_case(rng)
+        x, w, bias, gate = self._complex_map_case(rng)
+        mask = self.MAP_MASK
         o = w.shape[1]
-        store = make_store(wre=w.real, wim=w.imag, bre=bias.real, bim=bias.imag)
+        store = make_store(gate=gate, wre=w.real, wim=w.imag, bre=bias.real, bim=bias.imag)
         xv = Variable(np.concatenate([x.real, x.imag], axis=-1).transpose(1, 0, 2, 3))
-        gy = rng.standard_normal(x.shape[:3] + (2 * o,))
+        gy = rng.standard_normal((x.shape[0], x.shape[2], 2 * o))
         with Tape() as tape:
-            y = ad.complex_expert_map(xv, *(store[n] for n in ("wre", "wim", "bre", "bim")))
-            tape.backward(ad.vsum(y * gy.transpose(1, 0, 2, 3)))
+            y = self._mixed_map(xv, store["gate"], mask,
+                                *(store[n] for n in ("wre", "wim", "bre", "bim")))
+            tape.backward(ad.vsum(y * gy))
         # the packed cotangent as one complex number per output bin
         g = gy[..., :o] + 1j * gy[..., o:]
-        gw = np.einsum("bevo,bevf->eof", g, np.conj(x))
-        gb = g.sum(axis=(0, 2))
-        gx = np.einsum("bevo,eof->bevf", g, np.conj(w))
+        wm = gate * mask
+        gw = np.einsum("be,bvo,bevf->eof", wm, g, np.conj(x))
+        gb = np.einsum("be,bvo->eo", wm, g)
+        gx = np.einsum("be,bvo,eof->bevf", wm, g, np.conj(w))
+        # d(loss)/d(gate[b,e]) = Re <g, W_e x + b_e> on the mask
+        ye = np.einsum("eof,bevf->bevo", w, x) + bias[None, :, None]
+        ggate = mask * np.einsum("bvo,bevo->be", np.conj(g), ye).real
         for got, want in (
             (store["wre"].grad, gw.real),
             (store["wim"].grad, gw.imag),
             (store["bre"].grad, gb.real),
             (store["bim"].grad, gb.imag),
             (xv.grad, np.concatenate([gx.real, gx.imag], axis=-1).transpose(1, 0, 2, 3)),
+            (store["gate"].grad, ggate),
         ):
             assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+        # the expert no sample selects is never read: exact zeros
+        for name in ("wre", "wim", "bre", "bim"):
+            assert np.all(store[name].grad[2] == 0.0), name
 
     @pytest.mark.parametrize("axis", [1, -2, 2, -1])
     def test_concat_adjoint_hands_each_part_its_slice(self, axis):
@@ -396,6 +434,49 @@ class TestPrimitiveAdjoints:
             params,
         )
         assert err < 1e-6
+
+    def test_masked_weighted_sum_shared_over_samples_adjoint(self):
+        # y's B axis is 1: one value per expert, broadcast to every sample
+        rng = np.random.default_rng(21)
+        mask = np.array([[True, False, True], [False, True, True]])
+        params = {
+            "y": rng.standard_normal((3, 1, 1, 4)),
+            "w": rng.uniform(0.1, 1.0, size=(2, 3)),
+        }
+        err = fd_check(
+            lambda s: ad.vsum(ad.square(ad.masked_weighted_sum(s["y"], s["w"], mask))),
+            params,
+        )
+        assert err < 1e-6
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_masked_weighted_sum_shared_masked_values_are_bit_inert(self):
+        # expert 0 selected by sample 0 only, expert 2 by no sample
+        rng = np.random.default_rng(22)
+        y = rng.standard_normal((3, 1, 1, 2))
+        w = np.array([[0.4, 0.6, 0.0], [0.0, 1.0, 0.0]])
+        mask = w > 0.0
+        g = rng.standard_normal((2, 3, 2))
+
+        def run(values):
+            yv, wv = Variable(values), Variable(w)
+            with Tape() as tape:
+                out = ad.masked_weighted_sum(yv, wv, mask)
+                tape.backward(ad.vsum(out * g))
+            return out.value, yv.grad, wv.grad
+
+        base_out, base_gy, base_gw = run(y)
+        for bad in (np.pi, np.nan, np.inf, -np.inf):
+            y2 = y.copy()
+            y2[2] = bad  # selected by no sample
+            for got, want in zip(run(y2), (base_out, base_gy, base_gw)):
+                assert got.tobytes() == want.tobytes()
+            y2 = y.copy()
+            y2[0] = bad  # selected by sample 0 only: sample 1 and w's row 1 stay
+            out, gy, gw = run(y2)
+            assert out[1].tobytes() == base_out[1].tobytes()
+            assert gw[1].tobytes() == base_gw[1].tobytes()
+            assert gy[1:].tobytes() == base_gy[1:].tobytes()
 
     def test_masked_weighted_sum_ignores_masked_values(self):
         rng = np.random.default_rng(17)

@@ -13,6 +13,7 @@ from adamoge.moge import AdaMoGeModel, ModelConfig
 from oracles import (
     decision_margins,
     dog_response,
+    expert_spectra,
     khead_parameter_names,
     naive_half_spectrum,
     naive_irfft,
@@ -268,7 +269,8 @@ class TestForward:
 
         spec = spectrum_of(Variable(x.transpose(0, 2, 1)))
         sub, _ = block.bank.apply(spec)
-        spectra = block.experts_forward(sub).value
+        spectra = expert_spectra(sub.value, *(store[f"b0.experts.{leaf}"].value
+                                             for leaf in ("wre", "wim", "bre", "bim")))
         o = block.out_bins
         per_expert = fourier.irfft(spectra[..., :o], spectra[..., o:], block.out_len) * (
             block.out_len / block.in_len
@@ -308,6 +310,22 @@ class TestForward:
         again = model.predict(x)
         assert np.all(np.isfinite(again))
         assert base.tobytes() == again.tobytes()
+
+    def test_partly_selected_expert_finite_change_is_bit_inert_for_other_samples(self):
+        # the maps run as one GEMM over every expert that some sample selects,
+        # so the samples that do not select expert 1 multiply its weights by
+        # exact zeros: a finite change leaves their forecasts' bytes alone
+        store, model = build_model(e_max=3, seed=2)
+        x = np.random.default_rng(10).standard_normal((6, 16, 2))
+        diag = []
+        base = model.forward(Variable(x), diag).value
+        picks = diag[0].decision.mask[:, 1]
+        assert 0 < picks.sum() < len(picks)
+        store["b0.experts.wre"].value[1] += 3.5
+        store["b0.experts.bim"].value[1] -= 1.25
+        again = model.predict(x)
+        assert again[~picks].tobytes() == base[~picks].tobytes()
+        assert np.all(again[picks] != base[picks])
 
     def test_unselected_expert_gets_zero_gradient(self):
         store, model = build_model(e_max=3, seed=1)
