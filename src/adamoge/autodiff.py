@@ -404,31 +404,35 @@ def magnitude(spec) -> Variable:
     return out
 
 
-def complex_expert_map(x, w, mask: np.ndarray, wre, wim) -> Variable:
-    """Gate-weighted sum of per-expert complex linear maps on expert-major
-    sub-band spectra, as one GEMM on the input side.
+def complex_expert_map(spec, h, w, mask: np.ndarray, wre, wim) -> Variable:
+    """Gate-weighted sum of per-expert complex linear maps on band-passed
+    spectra, as one GEMM on the input side.
 
-    x: (E, B, V, 2*F) packed ``[re | im]``, w and mask: (B, E), weight pair
-    wre, wim: (E, O, F) -> y: (B, V, 2*O) with
-    y[b,v] = sum over e in mask[b] of w[b,e] * (W[e] @ x[e,b,v]), packed the
-    same way.  Both the map and the mix are linear, so in real arithmetic
-    y = [w_1 x_1 | ... | w_U x_U] @ [M_1; ...; M_U], where
-    M_e = [[wre^T, wim^T], [-wim^T, wre^T]] is expert e's (2F, 2O) block
-    matrix and 1..U are the experts that some sample of the batch selects.
-    The weighted sub-bands are laid out sample-major, (B*V, U*2F), and no
-    per-expert output exists in either pass.
+    spec: (B, V, 2*F) packed ``[re | im]``, h: (E, B, F) real band-pass
+    responses, w and mask: (B, E), weight pair wre, wim: (E, O, F) ->
+    y: (B, V, 2*O) with
+    y[b,v] = sum over e in mask[b] of w[b,e] * (W[e] @ (h[e,b] * spec[b,v])),
+    packed the same way.  Band-pass, map and mix are linear in the spectrum,
+    so in real arithmetic y = [spec * c_1 | ... | spec * c_U] @ [M_1; ...; M_U]
+    with the (B, U, F) coefficients c_e = w[:, e] * h[e] of the experts
+    1..U that some sample of the batch selects, each applied to both halves,
+    and M_e = [[wre^T, wim^T], [-wim^T, wre^T]] expert e's (2F, 2O) block
+    matrix.  The left operand is formed sample-major, (B*V, U*2F), by one
+    broadcast product: no per-expert sub-band or output exists in either
+    pass.
 
-    Masking.  A masked pair's sub-band is replaced by zeros before it is
-    weighted, so its values, non-finite too, reach nothing.  An expert that no
-    sample selects is never read and gets an exact zero gradient.  An
-    expert that some samples select is read by every row of the GEMM, so
-    only *finite* weights stay per-sample inert: a sample that does not
-    select it multiplies them by an exact zero, while a NaN or inf weight
-    reaches that sample as 0 * NaN.
+    Masking.  The coefficients of a masked (sample, expert) pair are exact
+    zeros, chosen before any product, so its response and weight, non-finite
+    too, reach nothing, and it gets exact zero gradients.  An expert that no
+    sample selects is never read and gets exact zero gradients.  An expert
+    that some samples select is read by every row of the GEMM, so only
+    *finite* weights stay per-sample inert: a sample that does not select
+    it multiplies them by an exact zero, while a NaN or inf weight reaches
+    that sample as 0 * NaN.
     """
-    x, w = as_variable(x), as_variable(w)
+    spec, h, w = as_variable(spec), as_variable(h), as_variable(w)
     wre, wim = as_variable(wre), as_variable(wim)
-    edim, bdim, vdim, packed = x.value.shape
+    bdim, vdim, packed = spec.value.shape
     odim, fdim = wre.value.shape[1:]
     used = mask.any(axis=0).nonzero()[0]
     udim = used.size
@@ -437,37 +441,30 @@ def complex_expert_map(x, w, mask: np.ndarray, wre, wim) -> Variable:
     m[:, :fdim, odim:] = wim.value[used].transpose(0, 2, 1)
     np.negative(m[:, :fdim, odim:], out=m[:, fdim:, :odim])
     m = m.reshape(udim * packed, 2 * odim)
-    dropped = ~mask[:, used]  # (B, U) pairs outside the mask
-    wsel = np.where(mask, w.value, 0.0)[:, None, used, None]
-
-    def sample_major(a):
-        """A copy of the used experts' blocks of an (E, B, V, 2F) array as
-        (B, V, U, 2F), zero on the dropped pairs."""
-        a = a.transpose(1, 2, 0, 3)[:, :, used]
-        a.transpose(0, 2, 1, 3)[dropped] = 0.0
-        return a
-
-    lhs = sample_major(x.value)
-    lhs *= wsel
-    lhs = lhs.reshape(bdim * vdim, udim * packed)
+    kept = mask[:, used]  # (B, U)
+    wsel = np.where(kept, w.value[:, used], 0.0)[:, :, None]
+    hsel = np.where(kept[:, :, None], h.value[used].transpose(1, 0, 2), 0.0)
+    c = wsel * hsel  # (B, U, F), exact zeros on the dropped pairs
+    x = spec.value.reshape(bdim, vdim, 2, fdim)
+    lhs = (x[:, :, None] * c[:, None, :, None, :]).reshape(bdim * vdim, udim * packed)
     out = Variable((lhs @ m).reshape(bdim, vdim, 2 * odim))
 
     def bwd(gy):
         grows = gy.reshape(bdim * vdim, 2 * odim)
-        glhs = (grows @ m.T).reshape(bdim, vdim, udim, packed)
-        glhs.transpose(0, 2, 1, 3)[dropped] = 0.0  # exact zeros for dropped pairs
+        glhs = (grows @ m.T).reshape(bdim, vdim, udim, 2, fdim)
+        gspec = np.einsum("bvusf,buf->bvsf", glhs, c).reshape(spec.value.shape)
+        gc = np.where(kept[:, :, None], np.einsum("bvusf,bvsf->buf", glhs, x), 0.0)
+        gh = np.zeros(h.value.shape)
+        gh[used] = (gc * wsel).transpose(1, 0, 2)
         gw = np.zeros(w.value.shape)
-        gw[:, used] = np.einsum("bvuf,bvuf->bu", sample_major(x.value), glhs)
-        glhs *= wsel
-        gx = np.zeros(x.value.shape)
-        gx.transpose(1, 2, 0, 3)[:, :, used] = glhs
+        gw[:, used] = np.einsum("buf,buf->bu", gc, hsel)
         gm = (lhs.T @ grows).reshape(udim, packed, 2 * odim)
         gwre, gwim = np.zeros(wre.value.shape), np.zeros(wim.value.shape)
         gwre[used] = (gm[:, :fdim, :odim] + gm[:, fdim:, odim:]).transpose(0, 2, 1)
         gwim[used] = (gm[:, :fdim, odim:] - gm[:, fdim:, :odim]).transpose(0, 2, 1)
-        return gx, gw, gwre, gwim
+        return gspec, gh, gw, gwre, gwim
 
-    _record((x, w, wre, wim), out, bwd)
+    _record((spec, h, w, wre, wim), out, bwd)
     return out
 
 

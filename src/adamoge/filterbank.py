@@ -11,6 +11,10 @@ exp(-((d+h)/s)^2/2) - exp(-((d-h)/s)^2/2) with d = f - (f1+f2)/2 and
 h = (f2-f1)/2, so the null at the exact centre is an exact floating-point
 zero, not a cancellation residue.
 
+The bank returns the responses, expert-major (E, B, F), and forms no
+sub-band: the expert map multiplies the spectrum by the gate-weighted
+responses inside its GEMM operand.
+
 A ``truncation`` family (fixed equal bands, hard 0/1 response) exists as an
 ablation baseline against the learnable Gaussian family.
 """
@@ -109,7 +113,7 @@ class FilterBank:
         f2 = f1 + (self.f_nyq - f1) * _squash(self.b)
         return f1, f2
 
-    def evaluate(self, spec: Variable) -> BankPass:
+    def apply(self, spec: Variable) -> BankPass:
         """Cutoffs, per-sample bandwidths and responses from one cutoffs() call
         on a (B, V, 2F) spectrum packed ``[re | im]``, expert-major: (E, B, ...).
 
@@ -139,13 +143,3 @@ class FilterBank:
         if self.mode == "abs-dog":
             h = ad.absval(h)
         return BankPass(f1, f2, raw, sigma, h)
-
-    def apply(self, spec: Variable) -> tuple[Variable, BankPass]:
-        """Expert-major sub-band spectra (E, B, V, 2F) packed ``[re | im]``: the
-        input spectrum times each real response, broadcast over both halves;
-        and the bank pass that produced the responses."""
-        bp = self.evaluate(spec)
-        b, v, packed = spec.value.shape
-        f = self.bins
-        sub = ad.reshape(spec, (1, b, v, 2, f)) * ad.reshape(bp.h, (self.e_max, b, 1, 1, f))
-        return ad.reshape(sub, (self.e_max, b, v, packed)), bp

@@ -60,10 +60,22 @@ def complex_matvec(w, x):
     return [sum(wrow[j] * x[j] for j in range(len(x))) for wrow in w]
 
 
-def expert_spectra(sub, wre, wim, bre, bim) -> np.ndarray:
-    """Every expert's complex affine map on every sample, in complex numpy:
-    expert-major sub-bands (E, B, V, 2F) packed ``[re | im]`` ->
-    (E, B, V, 2O) packed the same way, y[e,b,v] = W[e] @ x[e,b,v] + b[e]."""
+def sub_bands(spec, h) -> np.ndarray:
+    """Every expert's band-passed spectrum: a (B, V, 2F) spectrum packed
+    ``[re | im]`` times the expert-major (E, B, F) real responses, the same
+    response on both halves -> (E, B, V, 2F) packed the same way."""
+    f = h.shape[-1]
+    re, im = spec[..., :f], spec[..., f:]
+    hb = h[:, :, None, :]
+    return np.concatenate([re[None] * hb, im[None] * hb], axis=-1)
+
+
+def expert_spectra(spec, h, wre, wim, bre, bim) -> np.ndarray:
+    """Every expert's complex affine map on its band-passed spectrum for
+    every sample, in complex numpy: a (B, V, 2F) spectrum and (E, B, F)
+    responses -> (E, B, V, 2O) packed ``[re | im]``,
+    y[e,b,v] = W[e] @ (h[e,b] * spec[b,v]) + b[e]."""
+    sub = sub_bands(spec, h)
     f = sub.shape[-1] // 2
     x = sub[..., :f] + 1j * sub[..., f:]
     y = np.einsum("eof,ebvf->ebvo", wre + 1j * wim, x) + (bre + 1j * bim)[:, None, None]

@@ -152,7 +152,7 @@ def test_criterion_4_filter_properties():
         for _ in range(100):
             store.zero_grads()
             with Tape() as tape:
-                h = bank.evaluate(spectrum_of(Variable(x.transpose(0, 2, 1)))).h
+                h = bank.apply(spectrum_of(Variable(x.transpose(0, 2, 1)))).h
                 loss = ad.vmean(ad.square(h - target))
                 tape.backward(loss)
             opt.step(1e-2)
@@ -161,7 +161,7 @@ def test_criterion_4_filter_properties():
         f1v, f2v = f1.value, f2.value
         assert np.all(f1v < f2v) and np.all(f1v > 0.0), "cutoff ordering broke"
 
-        sigma = bank.evaluate(spectrum_of(Variable(x.transpose(0, 2, 1)))).sigma.value.T
+        sigma = bank.apply(spectrum_of(Variable(x.transpose(0, 2, 1)))).sigma.value.T
         assert np.all(sigma >= bank.sigma_min) and np.all(sigma <= bank.sigma_max)
 
         mid = (f1v + f2v) / 2.0

@@ -311,21 +311,22 @@ class TestPrimitiveAdjoints:
     MAP_MASK = np.array([[True, False, False], [True, True, False], [False, True, False]])
 
     @staticmethod
-    def _mixed_map(x, w, mask, wre, wim, bre, bim):
-        """The gate's mix of the experts' affine maps, as the block forms it:
-        the map on the input side plus the per-sample mix of the biases."""
+    def _mixed_map(spec, h, w, mask, wre, wim, bre, bim):
+        """The gate's mix of the experts' affine maps on their band-passed
+        spectra, as the block forms it: the map on the input side plus the
+        per-sample mix of the biases."""
         e = bre.value.shape[0]
         bias = ad.reshape(ad.concat([bre, bim], axis=1), (e, 1, 1, -1))
-        return ad.complex_expert_map(x, w, mask, wre, wim) + ad.masked_weighted_sum(bias, w, mask)
+        mapped = ad.complex_expert_map(spec, h, w, mask, wre, wim)
+        return mapped + ad.masked_weighted_sum(bias, w, mask)
 
     def test_complex_expert_map_adjoint(self):
         rng = np.random.default_rng(14)
         b, e, v, f, o = 3, 3, 2, 4, 3
         mask = self.MAP_MASK
         params = {
-            "x": np.concatenate(
-                [rng.standard_normal((e, b, v, f)), rng.standard_normal((e, b, v, f))], axis=-1
-            ),
+            "spec": rng.standard_normal((b, v, 2 * f)),
+            "h": rng.uniform(-1.0, 1.0, size=(e, b, f)),
             "w": rng.uniform(0.1, 1.0, size=(b, e)),
             "wre": rng.standard_normal((e, o, f)),
             "wim": rng.standard_normal((e, o, f)),
@@ -334,37 +335,44 @@ class TestPrimitiveAdjoints:
         }
 
         def build(s):
-            y = self._mixed_map(s["x"], s["w"], mask, s["wre"], s["wim"], s["bre"], s["bim"])
+            y = self._mixed_map(s["spec"], s["h"], s["w"], mask, s["wre"], s["wim"],
+                                s["bre"], s["bim"])
             return ad.vsum(ad.square(y))
 
         err = fd_check(build, params)
         assert err < 1e-6
 
     def _complex_map_case(self, rng, v=2, f=7, o=5):
-        """Complex input, weights and biases of an expert map with odd F != O,
-        and gate weights, on MAP_MASK's (B, E) = (3, 3)."""
+        """Complex spectrum, real responses, complex weights and biases of an
+        expert map with odd F != O, and gate weights, on MAP_MASK's
+        (B, E) = (3, 3)."""
         b, e = self.MAP_MASK.shape
 
         def crandn(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         gate = rng.uniform(0.1, 1.0, size=(b, e))
-        return crandn(b, e, v, f), crandn(e, o, f), crandn(e, o), gate
+        h = rng.uniform(-1.0, 1.0, size=(e, b, f))
+        return crandn(b, v, f), h, crandn(e, o, f), crandn(e, o), gate
+
+    @staticmethod
+    def _packed(z):
+        return np.concatenate([z.real, z.imag], axis=-1)
 
     def test_complex_expert_map_matches_loop_oracle(self):
         from oracles import complex_matvec
 
         rng = np.random.default_rng(15)
-        x, w, bias, gate = self._complex_map_case(rng)
+        x, h, w, bias, gate = self._complex_map_case(rng)
         o = w.shape[1]
-        xe = x.transpose(1, 0, 2, 3)  # expert-major
         y = self._mixed_map(
-            Variable(np.concatenate([xe.real, xe.imag], axis=-1)), Variable(gate), self.MAP_MASK,
+            Variable(self._packed(x)), Variable(h), Variable(gate), self.MAP_MASK,
             *(Variable(a) for a in (w.real, w.imag, bias.real, bias.imag)),
         ).value
-        for b, v in np.ndindex(x.shape[0], x.shape[2]):
+        for b, v in np.ndindex(x.shape[0], x.shape[1]):
             want = sum(
-                gate[b, e] * (np.array(complex_matvec(w[e].tolist(), x[b, e, v].tolist())) + bias[e])
+                gate[b, e] * (np.array(complex_matvec(w[e].tolist(), (h[e, b] * x[b, v]).tolist()))
+                              + bias[e])
                 for e in np.flatnonzero(self.MAP_MASK[b])
             )
             got = y[b, v, :o] + 1j * y[b, v, o:]
@@ -372,37 +380,89 @@ class TestPrimitiveAdjoints:
 
     def test_complex_expert_map_gradients_match_complex_reference(self):
         rng = np.random.default_rng(19)
-        x, w, bias, gate = self._complex_map_case(rng)
+        x, h, w, bias, gate = self._complex_map_case(rng)
         mask = self.MAP_MASK
         o = w.shape[1]
-        store = make_store(gate=gate, wre=w.real, wim=w.imag, bre=bias.real, bim=bias.imag)
-        xv = Variable(np.concatenate([x.real, x.imag], axis=-1).transpose(1, 0, 2, 3))
-        gy = rng.standard_normal((x.shape[0], x.shape[2], 2 * o))
+        store = make_store(spec=self._packed(x), h=h, gate=gate, wre=w.real, wim=w.imag,
+                           bre=bias.real, bim=bias.imag)
+        gy = rng.standard_normal((x.shape[0], x.shape[1], 2 * o))
         with Tape() as tape:
-            y = self._mixed_map(xv, store["gate"], mask,
+            y = self._mixed_map(*(store[n] for n in ("spec", "h", "gate")), mask,
                                 *(store[n] for n in ("wre", "wim", "bre", "bim")))
             tape.backward(ad.vsum(y * gy))
         # the packed cotangent as one complex number per output bin
         g = gy[..., :o] + 1j * gy[..., o:]
         wm = gate * mask
-        gw = np.einsum("be,bvo,bevf->eof", wm, g, np.conj(x))
+        sub = np.einsum("ebf,bvf->bevf", h, x)  # each expert's band-passed spectrum
+        gw = np.einsum("be,bvo,bevf->eof", wm, g, np.conj(sub))
         gb = np.einsum("be,bvo->eo", wm, g)
-        gx = np.einsum("be,bvo,eof->bevf", wm, g, np.conj(w))
-        # d(loss)/d(gate[b,e]) = Re <g, W_e x + b_e> on the mask
-        ye = np.einsum("eof,bevf->bevo", w, x) + bias[None, :, None]
+        # W_e^H g, per sample and expert
+        back = np.einsum("bvo,eof->bevf", g, np.conj(w))
+        gspec = np.einsum("be,ebf,bevf->bvf", wm, h, back)
+        # d(loss)/d(h[e,b,f]) = Re sum_v conj(x[b,v,f]) (w[b,e] W_e^H g)[f]
+        gh = np.einsum("be,bevf,bvf->ebf", wm, back, np.conj(x)).real
+        # d(loss)/d(gate[b,e]) = Re <g, W_e (h_e x) + b_e> on the mask
+        ye = np.einsum("eof,bevf->bevo", w, sub) + bias[None, :, None]
         ggate = mask * np.einsum("bvo,bevo->be", np.conj(g), ye).real
-        for got, want in (
-            (store["wre"].grad, gw.real),
-            (store["wim"].grad, gw.imag),
-            (store["bre"].grad, gb.real),
-            (store["bim"].grad, gb.imag),
-            (xv.grad, np.concatenate([gx.real, gx.imag], axis=-1).transpose(1, 0, 2, 3)),
-            (store["gate"].grad, ggate),
+        for name, want in (
+            ("wre", gw.real),
+            ("wim", gw.imag),
+            ("bre", gb.real),
+            ("bim", gb.imag),
+            ("spec", self._packed(gspec)),
+            ("h", gh),
+            ("gate", ggate),
         ):
-            assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+            got = store[name].grad
+            assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want)), name
         # the expert no sample selects is never read: exact zeros
         for name in ("wre", "wim", "bre", "bim"):
             assert np.all(store[name].grad[2] == 0.0), name
+        assert np.all(store["h"].grad[2] == 0.0)
+
+    @pytest.mark.parametrize("planted", [np.nan, np.inf, 3.5])
+    def test_complex_expert_map_dropped_response_is_inert(self, planted):
+        # sample 2 does not select expert 0: its response there reaches
+        # neither the output nor any gradient, and gets an exact zero one
+        rng = np.random.default_rng(22)
+        x, h, w, _, gate = self._complex_map_case(rng)
+        mask = self.MAP_MASK
+        gy = rng.standard_normal((x.shape[0], x.shape[1], 2 * w.shape[1]))
+
+        def run(h):
+            store = make_store(spec=self._packed(x), h=h, gate=gate, wre=w.real, wim=w.imag)
+            with Tape() as tape:
+                y = ad.complex_expert_map(*(store[n] for n in ("spec", "h", "gate")), mask,
+                                          store["wre"], store["wim"])
+                tape.backward(ad.vsum(y * gy))
+            return y.value, {p.name: p.grad for p in store}
+
+        base, base_grads = run(h)
+        planted_h = h.copy()
+        planted_h[0, 2] = planted
+        again, grads = run(planted_h)
+        assert again.tobytes() == base.tobytes()
+        for name in ("spec", "gate", "wre", "wim"):
+            assert grads[name].tobytes() == base_grads[name].tobytes(), name
+        assert np.all(grads["h"][0, 2] == 0.0)
+        # and the expert no sample selects gets exact zeros
+        assert np.all(grads["h"][2] == 0.0)
+
+    def test_complex_expert_map_dropped_pair_gradient_stays_zero_under_nan_weight(self):
+        # a NaN weight of expert 0 reaches every sample through the GEMM, but
+        # the pair (sample 2, expert 0) still gets exact zero gradients
+        rng = np.random.default_rng(23)
+        x, h, w, _, gate = self._complex_map_case(rng)
+        wre = w.real.copy()
+        wre[0, 1, 2] = np.nan
+        store = make_store(spec=self._packed(x), h=h, gate=gate, wre=wre, wim=w.imag)
+        with Tape() as tape:
+            y = ad.complex_expert_map(*(store[n] for n in ("spec", "h", "gate")), self.MAP_MASK,
+                                      store["wre"], store["wim"])
+            tape.backward(ad.vsum(y))
+        assert np.isnan(store["h"].grad[0, 0]).any()
+        assert np.all(store["h"].grad[0, 2] == 0.0)
+        assert store["gate"].grad[2, 0] == 0.0
 
     @pytest.mark.parametrize("axis", [1, -2, 2, -1])
     def test_concat_adjoint_hands_each_part_its_slice(self, axis):

@@ -9,7 +9,7 @@ from adamoge.autodiff import ParameterStore, Variable
 from adamoge.moge import ModelConfig
 from adamoge.spectral import spectrum_of
 
-from oracles import dog_response, passbands
+from oracles import dog_response, passbands, sub_bands
 
 
 def make_bank(e_max=3, bins=9, mode="dog", family="gaussian", **kw):
@@ -74,14 +74,14 @@ class TestAdaptiveSigma:
         # |X|^2 = 1 in every bin: sigma = sigma0 * alpha * 1 / centre
         _, bank = make_bank(e_max=3, bins=9, sigma0=1.0, alpha=1.0, sigma_min=0.01,
                             sigma_max=100.0)
-        s = bank.evaluate(packed_spectrum(np.ones((1, 2, 9)), np.zeros((1, 2, 9)))).sigma.value.T
+        s = bank.apply(packed_spectrum(np.ones((1, 2, 9)), np.zeros((1, 2, 9)))).sigma.value.T
         center = passbands(bank).mean(axis=1)
         assert np.allclose(s, 1.0 / center[None, :])
 
     def test_zero_spectrum_clamps_to_min(self):
         _, bank = make_bank(e_max=3, bins=9, sigma0=1.0, alpha=1.0, sigma_min=0.5,
                             sigma_max=24.0)
-        s = bank.evaluate(packed_spectrum(np.zeros((2, 2, 9)), np.zeros((2, 2, 9)))).sigma.value
+        s = bank.apply(packed_spectrum(np.zeros((2, 2, 9)), np.zeros((2, 2, 9)))).sigma.value
         assert np.all(s == 0.5)
 
     def test_inverse_proportional_to_center(self):
@@ -89,7 +89,7 @@ class TestAdaptiveSigma:
         _, bank = make_bank(e_max=4, bins=9, sigma0=1.0, alpha=1.0, sigma_min=1e-9,
                             sigma_max=1e9)
         re = np.full((1, 2, 9), np.sqrt(3.0))
-        s = bank.evaluate(packed_spectrum(re, np.zeros_like(re))).sigma.value[:, 0]
+        s = bank.apply(packed_spectrum(re, np.zeros_like(re))).sigma.value[:, 0]
         center = passbands(bank).mean(axis=1)
         assert len(np.unique(center)) == 4
         assert np.allclose(s * center, 3.0)
@@ -99,7 +99,7 @@ class TestAdaptiveSigma:
         store, bank = make_bank(e_max=4, bins=9)
         for scale in (1e-6, 1.0, 1e3):
             spec = random_spectrum(rng, scale=scale)
-            sig = bank.evaluate(spec).sigma.value
+            sig = bank.apply(spec).sigma.value
             assert np.all(sig >= bank.sigma_min) and np.all(sig <= bank.sigma_max)
 
 
@@ -145,39 +145,40 @@ class TestApply:
         rng = np.random.default_rng(4)
         _, bank = make_bank(e_max=1, bins=9, family="truncation")
         spec = random_spectrum(rng)
-        sub, _ = bank.apply(spec)
-        assert np.array_equal(sub.value[0, :, :, :9], spec.value[..., :9])
-        assert np.array_equal(sub.value[0, :, :, 9:], spec.value[..., 9:])
+        sub = sub_bands(spec.value, bank.apply(spec).h.value)
+        assert np.array_equal(sub[0, :, :, :9], spec.value[..., :9])
+        assert np.array_equal(sub[0, :, :, 9:], spec.value[..., 9:])
 
     def test_zero_stub_is_zero(self):
         rng = np.random.default_rng(5)
         _, bank = make_bank(e_max=2, bins=9, family="truncation")
         bank._masks[...] = 0.0
         spec = random_spectrum(rng)
-        sub, _ = bank.apply(spec)
-        assert np.all(sub.value[..., :9] == 0.0) and np.all(sub.value[..., 9:] == 0.0)
+        sub = sub_bands(spec.value, bank.apply(spec).h.value)
+        assert np.all(sub[..., :9] == 0.0) and np.all(sub[..., 9:] == 0.0)
 
     def test_matches_per_bin_oracle(self):
         rng = np.random.default_rng(6)
         store, bank = make_bank(e_max=1, bins=9)
         spec = random_spectrum(rng, b=1, l=16, v=1)
-        sub, bp = bank.apply(spec)
-        h = bp.h.value
+        h = bank.apply(spec).h.value
+        sub = sub_bands(spec.value, h)
         for f in range(9):
-            assert abs(sub.value[0, 0, 0, f] - spec.value[0, 0, f] * h[0, 0, f]) < 1e-12
-            assert abs(sub.value[0, 0, 0, 9 + f] - spec.value[0, 0, 9 + f] * h[0, 0, f]) < 1e-12
+            assert abs(sub[0, 0, 0, f] - spec.value[0, 0, f] * h[0, 0, f]) < 1e-12
+            assert abs(sub[0, 0, 0, 9 + f] - spec.value[0, 0, 9 + f] * h[0, 0, f]) < 1e-12
 
     @pytest.mark.parametrize("family", ["gaussian", "truncation"])
     def test_every_expert_and_sample_is_spectrum_times_response(self, family):
         rng = np.random.default_rng(12)
         _, bank = make_bank(e_max=3, bins=9, family=family)
         spec = random_spectrum(rng, b=2)
-        sub, bp = bank.apply(spec)
-        assert sub.shape == (3, 2, 2, 18) and bp.h.shape == (3, 2, 9)
+        h = bank.apply(spec).h.value
+        sub = sub_bands(spec.value, h)
+        assert sub.shape == (3, 2, 2, 18) and h.shape == (3, 2, 9)
         for e, b in np.ndindex(3, 2):
             for half in (slice(0, 9), slice(9, 18)):
-                want = spec.value[b, :, half] * bp.h.value[e, b]
-                assert np.array_equal(sub.value[e, b, :, half], want), (e, b, half)
+                want = spec.value[b, :, half] * h[e, b]
+                assert np.array_equal(sub[e, b, :, half], want), (e, b, half)
 
     def test_bin_mismatch_rejected(self):
         rng = np.random.default_rng(7)
@@ -189,9 +190,9 @@ class TestApply:
         rng = np.random.default_rng(8)
         store, bank = make_bank(e_max=3, bins=9)
         spec = random_spectrum(rng, scale=0.4)
-        h = bank.evaluate(spec).h.value
+        h = bank.apply(spec).h.value
         bands = passbands(bank)
-        sig = bank.evaluate(spec).sigma.value
+        sig = bank.apply(spec).sigma.value
         for b in range(spec.value.shape[0]):
             want = dog_response(
                 bands[:, 0], bands[:, 1], sig[:, b], np.arange(9.0)
@@ -203,8 +204,8 @@ class TestApply:
         store, bank = make_bank(e_max=3, bins=9)
         store2, bank2 = make_bank(e_max=3, bins=9, mode="abs-dog")
         spec = random_spectrum(rng)
-        h1 = bank.evaluate(spec).h.value
-        h2 = bank2.evaluate(spec).h.value
+        h1 = bank.apply(spec).h.value
+        h2 = bank2.apply(spec).h.value
         assert np.allclose(np.abs(h1), h2, atol=1e-15)
 
 
@@ -215,12 +216,16 @@ class TestGradients:
         store.add("x", 0.5 * rng.standard_normal((2, 16, 2)).transpose(0, 2, 1))
 
         def build(s):
+            # the sub-band product of tests/oracles.sub_bands, in ad ops so
+            # that the check reaches sigma through the responses
             spec = spectrum_of(s["x"])
-            sub, _ = bank.apply(spec)
+            b, v, _ = spec.shape
+            h = bank.apply(spec).h
+            sub = ad.reshape(spec, (1, b, v, 2, 9)) * ad.reshape(h, (3, b, 1, 1, 9))
             return ad.vsum(ad.square(sub))
 
         # verify sigma sits strictly inside the clamp so the check is smooth
-        sig = bank.evaluate(spectrum_of(store["x"])).sigma.value
+        sig = bank.apply(spectrum_of(store["x"])).sigma.value
         assert np.all(sig > bank.sigma_min + 1e-3)
         assert np.all(sig < bank.sigma_max - 1e-3)
         err = ad.grad_check(build, store)
@@ -235,7 +240,7 @@ class TestGradients:
         for _ in range(100):
             store.zero_grads()
             with ad.Tape() as tape:
-                h = bank.evaluate(spectrum_of(Variable(x.transpose(0, 2, 1)))).h
+                h = bank.apply(spectrum_of(Variable(x.transpose(0, 2, 1)))).h
                 loss = ad.vmean(ad.square(h - target))
                 tape.backward(loss)
             for p in store:

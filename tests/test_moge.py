@@ -6,7 +6,7 @@ import pytest
 from adamoge import autodiff as ad
 from adamoge import filterbank as fb
 from adamoge import fourier
-from adamoge import moge
+from adamoge import moge, training
 from adamoge.autodiff import ParameterStore, Variable
 from adamoge.moge import AdaMoGeModel, ModelConfig
 
@@ -268,9 +268,9 @@ class TestForward:
         from adamoge.spectral import spectrum_of
 
         spec = spectrum_of(Variable(x.transpose(0, 2, 1)))
-        sub, _ = block.bank.apply(spec)
-        spectra = expert_spectra(sub.value, *(store[f"b0.experts.{leaf}"].value
-                                             for leaf in ("wre", "wim", "bre", "bim")))
+        h = block.bank.apply(spec).h
+        spectra = expert_spectra(spec.value, h.value, *(store[f"b0.experts.{leaf}"].value
+                                                       for leaf in ("wre", "wim", "bre", "bim")))
         o = block.out_bins
         per_expert = fourier.irfft(spectra[..., :o], spectra[..., o:], block.out_len) * (
             block.out_len / block.in_len
@@ -465,6 +465,22 @@ class TestLayout:
             out = model.forward(Variable(x))
         assert out.value.shape == (3, 8, 2)
         assert calls == {"transpose": 2, "magnitude": depth}
+
+    @pytest.mark.parametrize("depth, nodes", [(1, 82), (3, 236)])
+    def test_train_step_forms_no_sub_band_tensor(self, depth, nodes):
+        # the band-pass runs inside the expert map's GEMM operand: no tape
+        # node writes the expert-major (E, B, V, 2F) sub-bands, and each
+        # block records 76 nodes (77 with the residual add)
+        store, model = build_model(lookback=16, horizon=8, depth=depth)
+        rng = np.random.default_rng(33)
+        x, y = rng.standard_normal((5, 16, 2)), rng.standard_normal((5, 8, 2))
+        with ad.Tape() as tape:
+            loss = training.mse_loss(model.forward(Variable(x)), y)
+            tape.backward(loss)
+        sub_band = (model.cfg.e_max, 5, 2, 2 * model.blocks[0].bins)
+        assert sub_band == (3, 5, 2, 18)
+        assert all(out.value.shape != sub_band for _, out, _ in tape._nodes)
+        assert len(tape) == nodes
 
 
 class TestParameterCount:
