@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .autodiff import NumericError, ParameterStore, Variable
 from .config import ConfigError, RunConfig
 from .data import DataError
 from .moge import AdaMoGeModel, BlockDiagnostics
-from .training import CSV_COLUMNS, EvalReport, evaluate, fit, grid_search
+from .training import CSV_COLUMNS, EvalReport, grid_combinations, grid_search, report_on_test
 
 CHECKPOINT_NAME = "checkpoint.bin"
 CONFIG_NAME = "run.cfg"
@@ -131,60 +131,53 @@ def _require_finite(what: str, *values) -> None:
 
 
 def cmd_train(args) -> int:
+    """Sweep ``train.grid.*`` with ``--grid``, else the one combination that
+    ``model.*`` names; save the winner, its config and its test report."""
     cfg = resolve_config(args)
     ds = load_dataset(cfg)
     if args.grid:
-        return _train_grid(cfg, ds)
-    store, model = build_model(cfg, ds.values.shape[1])
-    fp = cfgmod.fingerprint(cfg)
-    result = fit(model, ds, cfg.train, fingerprint=fp, log=lambda msg: print(msg))
-    if result.diverged:
-        print("warning: training diverged; best finite parameters retained", file=sys.stderr)
-    _require_finite("test metrics", result.report.mse, result.report.mae)
-    out_dir = _make_out_dir(cfg)
-    ckpt.save(os.path.join(out_dir, CHECKPOINT_NAME), store, fp)
-    with ckpt.atomic_open(os.path.join(out_dir, CONFIG_NAME)) as fh:
-        fh.write(cfgmod.render(cfg))
-    _write_report(out_dir, result.report)
-    print(result.report.to_json())
-    print(f"report sha256: {result.report.content_hash()}")
-    print(f"checkpoint: {os.path.join(out_dir, CHECKPOINT_NAME)}")
-    return 0
+        combos = grid_combinations(cfg.train)
+    else:
+        combos = [{k: getattr(cfg.model, k) for k in ("e_max", "depth", "feature_dim")}]
 
-
-def _train_grid(cfg: RunConfig, ds) -> int:
     def combo_config(combo) -> RunConfig:
-        ccfg = copy.deepcopy(cfg)
-        ccfg.model.e_max = combo["e_max"]
-        ccfg.model.depth = combo["depth"]
-        ccfg.model.feature_dim = combo["feature_dim"]
-        return ccfg
-
-    def build(combo):
-        return build_model(combo_config(combo), ds.values.shape[1])
+        return replace(cfg, model=replace(cfg.model, **combo))
 
     result = grid_search(
-        ds, cfg.train, build, fingerprint_for=lambda c: cfgmod.fingerprint(combo_config(c))
+        ds, cfg.train, combos,
+        lambda combo: build_model(combo_config(combo), ds.values.shape[1]),
+        fingerprint_for=lambda combo: cfgmod.fingerprint(combo_config(combo)),
+        log=print,
     )
-    _require_finite("test metrics", result.winner_report.mse, result.winner_report.mae)
+    for e in result.entries:
+        if e.diverged:
+            print(f"warning: training diverged for {e.combo}; best finite parameters retained",
+                  file=sys.stderr)
+    report = result.winner_report
+    _require_finite("test metrics", report.mse, report.mae)
     out_dir = _make_out_dir(cfg)
-    with ckpt.atomic_open(os.path.join(out_dir, "grid_summary.csv")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["e_max", "depth", "feature_dim", "val_mse", "params", "seconds", "epochs"])
-        for e in result.entries:
-            writer.writerow([
-                e.combo["e_max"], e.combo["depth"], e.combo["feature_dim"],
-                e.val_mse, e.params, e.seconds, e.epochs_run,
-            ])
+    if args.grid:
+        with ckpt.atomic_open(os.path.join(out_dir, "grid_summary.csv")) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["e_max", "depth", "feature_dim", "val_mse", "params", "seconds",
+                             "epochs"])
+            for e in result.entries:
+                writer.writerow([
+                    e.combo["e_max"], e.combo["depth"], e.combo["feature_dim"],
+                    e.val_mse if np.isfinite(e.val_mse) else "", e.params, e.seconds,
+                    e.epochs_run,
+                ])
+        val = result.winner.val_mse
+        print(f"grid: {len(result.entries)} runs, winner {result.winner.combo} "
+              + (f"(val mse {val:.6f})" if np.isfinite(val) else "(no finite val mse)"))
     winner_cfg = combo_config(result.winner.combo)
-    ckpt.save(os.path.join(out_dir, CHECKPOINT_NAME), result.winner_store,
-              cfgmod.fingerprint(winner_cfg))
+    ckpt.save(os.path.join(out_dir, CHECKPOINT_NAME), result.winner_store, report.fingerprint)
     with ckpt.atomic_open(os.path.join(out_dir, CONFIG_NAME)) as fh:
         fh.write(cfgmod.render(winner_cfg))
-    _write_report(out_dir, result.winner_report)
-    print(f"grid: {len(result.entries)} runs, winner {result.winner.combo} "
-          f"(val mse {result.winner.val_mse:.6f})")
-    print(result.winner_report.to_json())
+    _write_report(out_dir, report)
+    print(report.to_json())
+    print(f"report sha256: {report.content_hash()}")
+    print(f"checkpoint: {os.path.join(out_dir, CHECKPOINT_NAME)}")
     return 0
 
 
@@ -206,11 +199,7 @@ def _restore(args) -> tuple[RunConfig, datamod.Dataset, AdaMoGeModel, str]:
 
 def cmd_eval(args) -> int:
     cfg, ds, model, fp = _restore(args)
-    mse, mae = evaluate(model, ds, ds.split.test, cfg.train.batch_size)
-    report = EvalReport(
-        dataset=ds.name, horizon=model.horizon, mse=mse, mae=mae,
-        params=model.parameter_count(), seconds=0.0, fingerprint=fp,
-    )
+    report = report_on_test(model, ds, cfg.train.batch_size, fp)
     _require_finite("test metrics", report.mse, report.mae)
     out_dir = _make_out_dir(cfg)
     _write_report(out_dir, report)

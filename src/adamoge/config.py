@@ -8,7 +8,6 @@ ties checkpoints, reports and eval runs together.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -152,8 +151,6 @@ def validate(cfg: RunConfig, grid: bool = False) -> RunConfig:
         if not 2 <= _value(cfg, key) <= MAX_LENGTH:
             raise ConfigError(f"{key} must lie in [2, {MAX_LENGTH}], got {_value(cfg, key)}")
     for key, (_, _, parser) in _SCHEMA.items():
-        if parser is float and not math.isfinite(_value(cfg, key)):
-            raise ConfigError(f"{key} must be finite, got {_value(cfg, key)}")
         if parser is str and "\0" in _value(cfg, key):
             raise ConfigError(f"{key} contains a NUL character")
     # output.dir, or else its nearest existing ancestor, must be a directory

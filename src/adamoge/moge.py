@@ -76,13 +76,15 @@ class ModelConfig:
             value = getattr(self, f"filter_{name}")
             if value not in choices:
                 raise ValueError(f"model.filter.{name} must be one of {choices}, got {value!r}")
-        # sigma must stay positive and alpha must let it adapt
+        # sigma must stay positive and finite, and alpha must let it adapt
         for name in ("sigma_min", "alpha"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
-                raise ValueError(f"model.{name} must be > 0, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"model.{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("sigma0", "sigma_max", "fixed_k"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"model.{name} must be >= 0 (0 = auto), got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(
+                    f"model.{name} must be finite and >= 0 (0 = auto), got {getattr(self, name)}"
+                )
         f_nyq = float(lookback // 2)
         cfg = replace(
             self,

@@ -1,9 +1,12 @@
 """Loss, metrics, Adam with cosine annealing, the fit loop, and grid search.
 
 One fit is single-writer on its ParameterStore.  Model selection watches
-validation MSE only; the test split is touched exactly once, after training,
-to fill the report.  Under a fixed seed and single-threaded execution two
-runs produce bit-identical reports (wall-clock time aside).
+validation MSE only: ``grid_search`` trains each combination it is given,
+ranks them by their best validation MSE, and touches the test split exactly
+once, for the winner, through ``report_on_test``, the one builder of a
+test-split ``EvalReport``.  A single run is a sweep of one combination.
+Under a fixed seed and single-threaded execution two runs produce
+bit-identical reports (wall-clock time aside).
 """
 
 from __future__ import annotations
@@ -99,8 +102,10 @@ class TrainConfig:
             if getattr(self, name) < low:
                 raise ValueError(f"train.{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("base_lr", "min_lr"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
-                raise ValueError(f"train.{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(
+                    f"train.{name} must be positive and finite, got {getattr(self, name)}"
+                )
         for name in ("e_max", "depth", "feature_dim"):
             values = getattr(self, f"grid_{name}")
             if not values or min(values) < 1:
@@ -151,26 +156,37 @@ def evaluate(model: AdaMoGeModel, ds: Dataset, row_range, batch_size: int = 64) 
     return se_sum / count, ae_sum / count
 
 
+def report_on_test(
+    model: AdaMoGeModel, ds: Dataset, batch_size: int, fingerprint: str = "",
+    seconds: float = 0.0,
+) -> EvalReport:
+    """The model's metrics on the test split of ``ds``, as a report."""
+    test_mse, test_mae = evaluate(model, ds, ds.split.test, batch_size)
+    return EvalReport(dataset=ds.name, horizon=model.horizon, mse=test_mse, mae=test_mae,
+                      params=model.parameter_count(), seconds=seconds, fingerprint=fingerprint)
+
+
 @dataclass
 class FitResult:
-    report: EvalReport
     best_state: dict[str, np.ndarray]
     best_val_mse: float
     epochs_run: int
+    seconds: float  # training and validation; the test report is not timed
     diverged: bool = False
     history: list[tuple[int, float, float]] = field(default_factory=list)
+    report: EvalReport | None = None  # test metrics, with ``compute_test``
 
 
 def fit(
     model: AdaMoGeModel,
     ds: Dataset,
     tc: TrainConfig,
-    fingerprint: str = "",
     compute_test: bool = True,
     log=None,
 ) -> FitResult:
     """Train with the MSE objective, early-stop on validation MSE, restore the
-    best parameters, and (optionally) report test metrics."""
+    best parameters, and (optionally) report test metrics.  ``log``, when
+    given, receives one line per validated epoch."""
     tc.validate()
     store = model.store
     t0 = time.perf_counter()
@@ -226,26 +242,15 @@ def fit(
             if since_best > tc.patience:
                 break
     store.load_state_dict(best_state)
-
-    test_mse = test_mae = float("nan")
-    if compute_test:
-        test_mse, test_mae = evaluate(model, ds, ds.split.test, tc.batch_size)
-    report = EvalReport(
-        dataset=ds.name,
-        horizon=model.horizon,
-        mse=test_mse,
-        mae=test_mae,
-        params=model.parameter_count(),
-        seconds=time.perf_counter() - t0,
-        fingerprint=fingerprint,
-    )
+    seconds = time.perf_counter() - t0
     return FitResult(
-        report=report,
         best_state=best_state,
         best_val_mse=float(best_val),
         epochs_run=epochs_run,
+        seconds=seconds,
         diverged=diverged,
         history=history,
+        report=report_on_test(model, ds, tc.batch_size, seconds=seconds) if compute_test else None,
     )
 
 
@@ -264,6 +269,7 @@ class GridEntry:
     params: int
     seconds: float
     epochs_run: int
+    diverged: bool
 
 
 @dataclass
@@ -274,47 +280,37 @@ class GridResult:
     winner_store: ParameterStore  # the winner's parameters, at its best epoch
 
 
-def grid_search(ds: Dataset, tc: TrainConfig, build_model, fingerprint_for=None) -> GridResult:
-    """Train every grid combination, rank by validation MSE, and evaluate the
-    test split only for the winner (no test-set selection).
+def grid_search(
+    ds: Dataset, tc: TrainConfig, combos: list[dict], build_model, fingerprint_for=None, log=None,
+) -> GridResult:
+    """Train every combination in ``combos``, rank by validation MSE, and
+    evaluate the test split only for the winner (no test-set selection).
 
     ``build_model`` maps a combo dict to a fresh (store, model) pair;
-    ``fingerprint_for`` (optional) maps a combo to its config fingerprint.
-    ``fit`` leaves each model at its best epoch, so the result carries the
-    winner's own store, ready to save.
+    ``fingerprint_for`` (optional) maps a combo to its config fingerprint;
+    ``log`` goes to each ``fit``.  ``fit`` leaves each model at its best
+    epoch, so the result carries the winner's own store, ready to save.  The
+    report's ``seconds`` sums every combination's fit, test evaluation aside.
     """
     tc.validate()
     entries: list[GridEntry] = []
     best_entry = best_model = None
-    for combo in grid_combinations(tc):
+    for combo in combos:
         model = build_model(combo)[1]
-        result = fit(model, ds, tc, compute_test=False)
-        entry = GridEntry(
-            combo=combo,
-            val_mse=result.best_val_mse,
-            params=model.parameter_count(),
-            seconds=result.report.seconds,
-            epochs_run=result.epochs_run,
-        )
+        result = fit(model, ds, tc, compute_test=False, log=log)
+        entry = GridEntry(combo, result.best_val_mse, model.parameter_count(), result.seconds,
+                          result.epochs_run, result.diverged)
         entries.append(entry)
         # strict: a tie keeps the earlier combination
         if best_entry is None or entry.val_mse < best_entry.val_mse:
             best_entry, best_model = entry, model
         del model, result  # only the running best stays alive
-    test_mse, test_mae = evaluate(best_model, ds, ds.split.test, tc.batch_size)
     fingerprint = fingerprint_for(best_entry.combo) if fingerprint_for else ""
-    winner_report = EvalReport(
-        dataset=ds.name,
-        horizon=best_model.horizon,
-        mse=test_mse,
-        mae=test_mae,
-        params=best_entry.params,
-        seconds=sum(e.seconds for e in entries),
-        fingerprint=fingerprint,
-    )
     return GridResult(
         entries=sorted(entries, key=lambda e: e.val_mse),
         winner=best_entry,
-        winner_report=winner_report,
+        winner_report=report_on_test(
+            best_model, ds, tc.batch_size, fingerprint, seconds=sum(e.seconds for e in entries)
+        ),
         winner_store=best_model.store,
     )

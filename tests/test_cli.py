@@ -90,6 +90,11 @@ BAD_VALUES = [
     (["--override", "model.alpha=0"], "model.alpha"),
     (["--override", "model.alpha=-1"], "model.alpha"),
     (["--override", "data.path=a\0b.csv"], "data.path"),
+    (["--override", "train.base_lr=inf"], "train.base_lr"),
+    (["--override", "train.min_lr=inf"], "train.min_lr"),
+    (["--override", "model.alpha=inf"], "model.alpha"),
+    (["--override", "model.sigma_min=inf"], "model.sigma_min"),
+    (["--override", "model.sigma_max=inf"], "model.sigma_max"),
 ]
 
 
@@ -547,3 +552,49 @@ class TestGridCli:
         assert main(["eval", os.path.join(out, "checkpoint.bin"),
                      "--out", str(tmp_path / "ge")]) == 0
         assert json.loads(capsys.readouterr().out)["mse"] == grid_report["mse"]
+
+    def test_diverged_combinations_warn_and_leave_val_mse_empty(self, tmp_path, base_cfg,
+                                                                capsys, monkeypatch):
+        # every fit's gradient turns NaN at its second step, before any epoch
+        # is validated: no combination has a finite validation MSE, and the
+        # sweep keeps the first one's initial, finite parameters
+        monkeypatch.setattr(training, "Adam", adam_poisoned_from(1))
+        out = str(tmp_path / "g")
+        code = main(["train", "--config", base_cfg, "--grid", "--out", out,
+                     "--override", "train.grid.e_max=2,3",
+                     "--override", "train.grid.depth=1",
+                     "--override", "train.grid.feature_dim=8"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        for combo in ({"e_max": 2, "depth": 1, "feature_dim": 8},
+                      {"e_max": 3, "depth": 1, "feature_dim": 8}):
+            assert f"warning: training diverged for {combo}" in captured.err
+        assert "inf" not in [l for l in captured.out.splitlines() if l.startswith("grid:")][0]
+        with open(os.path.join(out, "grid_summary.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["val_mse"] for r in rows] == ["", ""]
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        assert np.isfinite(report["mse"])
+
+    def test_one_point_grid_is_the_plain_run(self, tmp_path, base_cfg, capsys):
+        # base_cfg names e_max 3, depth 1, feature_dim 8: a grid of just that
+        # combination must train, save and report exactly what train does.
+        # The grid keys are part of the fingerprint, so both runs set them.
+        def run(out_dir, *extra):
+            out = str(tmp_path / out_dir)
+            assert main(["train", "--config", base_cfg, "--out", out,
+                         "--override", "train.grid.e_max=3",
+                         "--override", "train.grid.depth=1",
+                         "--override", "train.grid.feature_dim=8", *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            with open(os.path.join(out, "checkpoint.bin"), "rb") as fh:
+                return fh.read(), lines
+
+        plain, plain_lines = run("plain")
+        grid, grid_lines = run("grid", "--grid")
+        assert grid == plain
+        sha = [l for l in plain_lines if l.startswith("report sha256:")]
+        assert len(sha) == 1 and sha == [l for l in grid_lines if l.startswith("report sha256:")]
+        epochs = [l for l in grid_lines if l.startswith("epoch ")]
+        assert len(epochs) == 2 and epochs == [l for l in plain_lines if l.startswith("epoch ")]

@@ -376,6 +376,10 @@ class TestForward:
         ({"filter_mode": "boxcar"}, "model.filter.mode"),
         ({"filter_family": "box"}, "model.filter.family"),
         ({"fixed_k": -3}, "model.fixed_k"),
+        ({"sigma0": np.inf}, "model.sigma0"),
+        ({"alpha": np.inf}, "model.alpha"),
+        ({"sigma_max": np.inf}, "model.sigma_max"),
+        ({"sigma_min": np.inf}, "model.sigma_min"),
     ])
     def test_bad_model_config_rejected_at_build(self, kw, key):
         with pytest.raises(ValueError, match=key):

@@ -128,6 +128,19 @@ class TestCosine:
             cosine_lr(101, 100, 1e-3, 1e-5)
 
 
+class TestTrainConfig:
+    # a config built in code: fit runs the same checks as the CLI
+    @pytest.mark.parametrize("kw, key", [
+        ({"patience": -1}, "train.patience"),
+        ({"min_lr": 0.0}, "train.min_lr"),
+        ({"base_lr": np.inf}, "train.base_lr"),
+        ({"min_lr": np.inf}, "train.min_lr"),
+    ])
+    def test_bad_value_rejected_naming_key(self, kw, key):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**kw).validate()
+
+
 def tiny_dataset(rows=420, seed=0, window=32, bins=(3.0,)):
     table = sinusoid_table(rows, variables=2, cycles_per_window=bins, window=window,
                            snr_db=14.0, seed=seed)
@@ -273,7 +286,7 @@ class TestGrid:
             return tiny_model(ds, seed=5, e_max=combo["e_max"], depth=combo["depth"],
                               feature_dim=combo["feature_dim"])
 
-        gr = grid_search(ds, tc, build)
+        gr = grid_search(ds, tc, grid_combinations(tc), build)
         direct = fit(tiny_model(ds, seed=5)[1], ds, tc)
         assert gr.winner_report.mse == direct.report.mse
         assert gr.winner.val_mse == direct.best_val_mse
@@ -295,7 +308,7 @@ class TestGrid:
                 filter_family="truncation", adaptive_k=False, fixed_k=1,
             )
 
-        gr = grid_search(ds, tc, build)
+        gr = grid_search(ds, tc, grid_combinations(tc), build)
         assert gr.winner.combo["e_max"] == 1
         assert gr.entries[0].val_mse < gr.entries[1].val_mse
         # only the winner carries test metrics
@@ -325,7 +338,7 @@ class TestGrid:
             return evaluate(model, ds_, row_range, *a, **kw)
 
         monkeypatch.setattr(training, "evaluate", spy)
-        gr = grid_search(ds, tc, build)
+        gr = grid_search(ds, tc, grid_combinations(tc), build)
         winner = grid_combinations(tc).index(gr.winner.combo)
         assert seen == [[winner], [winner]]
         assert alive_at_build == [0, 1, 1, 1, 1, 1]  # the running best only
