@@ -479,9 +479,9 @@ def rfft_op(x) -> Variable:
     n = x.value.shape[-1]
     f = fourier.half_bins(n)
     out = Variable(np.concatenate(fourier.rfft(x.value), axis=-1))
-    inv_w = 1.0 / fourier.half_weights(n)
 
     def bwd(g):
+        inv_w = 1.0 / fourier.half_weights(n)
         return (n * fourier.irfft(g[..., :f] * inv_w, g[..., f:] * inv_w, n),)
 
     _record((x,), out, bwd)
@@ -494,11 +494,14 @@ def irfft_op(spec, n: int) -> Variable:
     spec = as_variable(spec)
     f = fourier.half_bins(n)
     out = Variable(fourier.irfft(spec.value[..., :f], spec.value[..., f:], n))
-    w = fourier.half_weights(n) / n
 
     def bwd(g):
+        w = fourier.half_weights(n) / n
         gre, gim = fourier.rfft(g)
-        return (np.concatenate([gre * w, gim * w], axis=-1),)
+        gspec = np.empty(gre.shape[:-1] + (2 * f,))
+        np.multiply(gre, w, out=gspec[..., :f])
+        np.multiply(gim, w, out=gspec[..., f:])
+        return (gspec,)
 
     _record((spec,), out, bwd)
     return out

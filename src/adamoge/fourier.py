@@ -5,14 +5,20 @@ a length-L real signal with half spectrum X
 
     sum(x**2) == (|X_0|**2 + 2*sum_{0<k<L/2} |X_k|**2 + [L even]|X_{L/2}|**2) / L.
 
-One algorithm serves every length from 2 to ``MAX_LENGTH``: dense real-DFT
-GEMMs.  Each length gets one cached (n, 2F) ``[cos | -sin]`` matrix;
-:func:`rfft` is one matrix product against it and :func:`irfft` one product
-against its transpose, after the spectrum is scaled by the half-weights and
-1/n.  The model only ever transforms a few fixed lengths (L = 96 in,
-H in {96, 192, 336, 720} out), so the plans are built once.  Longer lengths
-are rejected, and the run configuration refuses a lookback or horizon above
-the limit before any data is loaded.
+One algorithm serves every length from 2 to ``MAX_LENGTH``: a folded
+real DFT as two dense GEMMs.  Time t is paired with time n - t for
+0 < t < n/2.  The cosine part of the spectrum depends only on the even fold
+x[t] + x[n-t] (with x[0], and x[n/2] for even n) and the sine part only on
+the odd fold x[t] - x[n-t], so :func:`rfft` is one product of the even fold
+with a cached cosine plan and one of the odd fold with a cached sine plan.
+:func:`irfft` multiplies the spectrum by the same two matrices, which are
+symmetric, to get the cosine part c and the sine part s at t <= n/2, and
+writes x[t] = c + s and x[n-t] = c - s.  That is half the multiply-adds of
+a full (n, n) real-DFT matrix in either direction.  The model only ever
+transforms a few fixed lengths (L = 96 in, H in {96, 192, 336, 720} out), so
+the plans are built once.  Longer lengths are rejected, and the run
+configuration refuses a lookback or horizon above the limit before any data
+is loaded.
 
 Everything here is plain numpy arithmetic; ``numpy.fft`` serves only as an
 oracle in the tests and the benchmark.
@@ -22,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Longest transform length.  A plan holds 8*n**2 bytes (4 MB at 720, 8 MB at
-# 1024) and costs O(n**2) per row; the longest horizon of the ETT protocol is
-# 720, so every model length fits with room to spare.
+# Longest transform length.  A plan holds about 4*n**2 bytes (2 MB at 720,
+# 4 MB at 1024) and costs O(n**2) per row; the longest horizon of the ETT
+# protocol is 720, so every model length fits with room to spare.
 MAX_LENGTH = 1024
 
 
@@ -33,21 +39,30 @@ def half_bins(n: int) -> int:
     return n // 2 + 1
 
 
-_dense_plans: dict[int, np.ndarray] = {}
+_plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _dense_plan(n: int) -> np.ndarray:
-    """(n, 2F) real-DFT matrix ``[cos | -sin]``: :func:`rfft` multiplies by it,
-    :func:`irfft` by its transpose."""
-    plan = _dense_plans.get(n)
+def _plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Folded real-DFT plan of length ``n``, with h = n//2 and m = (n-1)//2.
+
+    ``cos`` is the (h+1, h+1) matrix cos(2*pi*k*t/n) over t, k in [0, h], with
+    the DC row (and the Nyquist row for even n) halved; ``sin`` is the (m, m)
+    matrix -sin(2*pi*k*t/n) over t, k in [1, m].  Both are symmetric in
+    (t, k), so :func:`rfft` and :func:`irfft` multiply by the same two.
+    """
+    plan = _plans.get(n)
     if plan is None:
-        t = np.arange(n, dtype=np.int64)
-        k = np.arange(half_bins(n), dtype=np.int64)
+        h, m = n // 2, (n - 1) // 2
+        t = np.arange(h + 1, dtype=np.int64)
         # reduce k*t mod n in integers so every angle lies in [0, 2*pi)
-        angle = (2.0 * np.pi / n) * ((t[:, None] * k[None, :]) % n)
-        plan = np.concatenate([np.cos(angle), -np.sin(angle)], axis=1)
-        plan.flags.writeable = False
-        _dense_plans[n] = plan
+        angle = (2.0 * np.pi / n) * ((t[:, None] * t[None, :]) % n)
+        cos = np.cos(angle)
+        cos[0] *= 0.5
+        if n % 2 == 0:
+            cos[h] *= 0.5
+        sin = -np.sin(angle[1 : m + 1, 1 : m + 1])
+        cos.flags.writeable = sin.flags.writeable = False
+        plan = _plans[n] = (cos, sin)
     return plan
 
 
@@ -64,17 +79,20 @@ def rfft(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     _check_length(n)
-    f = half_bins(n)
-    spec = x.reshape(-1, n) @ _dense_plan(n)
-    shape = x.shape[:-1] + (f,)
-    re = np.ascontiguousarray(spec[:, :f]).reshape(shape)
-    im = np.ascontiguousarray(spec[:, f:]).reshape(shape)
-    # bin 0 (and Nyquist for even n) of a real signal is exactly real; the
-    # rounding of sin(pi) leaves residue in the Nyquist column, so pin both.
-    im[..., 0] = 0.0
-    if n % 2 == 0:
-        im[..., -1] = 0.0
-    return re, im
+    h, m = n // 2, (n - 1) // 2
+    cos, sin = _plan(n)
+    rows = x.reshape(-1, n)
+    # x[t] pairs with x[n-t]; x[0] (and x[n/2] for even n) pairs with itself,
+    # so it enters doubled and meets the plan's halved row
+    even = np.empty((rows.shape[0], h + 1))
+    np.multiply(rows[:, 0], 2.0, out=even[:, 0])
+    np.add(rows[:, 1 : h + 1], rows[:, n - 1 : n - h - 1 : -1], out=even[:, 1:])
+    re = even @ cos
+    # bin 0 (and Nyquist for even n) of a real signal is exactly real
+    im = np.zeros((rows.shape[0], h + 1))
+    np.matmul(rows[:, 1 : m + 1] - rows[:, :h:-1], sin, out=im[:, 1 : m + 1])
+    shape = x.shape[:-1] + (h + 1,)
+    return re.reshape(shape), im.reshape(shape)
 
 
 def irfft(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
@@ -90,21 +108,24 @@ def irfft(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
     if re.shape != im.shape:
         raise ValueError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
     _check_length(n)
-    f = half_bins(n)
-    if re.shape[-1] != f:
+    h, m = n // 2, (n - 1) // 2
+    if re.shape[-1] != h + 1:
         raise ValueError(
             f"spectrum has {re.shape[-1]} bins, inconsistent with output length {n}"
         )
-    stop = (n + 1) // 2  # bins 1 .. stop-1 are interior: their imaginary parts count
-    re2, im2 = re.reshape(-1, f), im.reshape(-1, f)
-    # columns: cos for every bin, then -sin for bins 0 .. stop-1; the DC
-    # column stays zero so that only interior imaginary parts are read
-    scale = half_weights(n) / n
-    spec = np.zeros((re2.shape[0], f + stop))
-    np.multiply(re2, scale, out=spec[:, :f])
-    np.multiply(im2[:, 1:stop], scale[1:stop], out=spec[:, f + 1 :])
-    out = spec @ _dense_plan(n)[:, : f + stop].T
-    return np.ascontiguousarray(out).reshape(re.shape[:-1] + (n,))
+    cos, sin = _plan(n)
+    out = np.empty(re.shape[:-1] + (n,))
+    rows = out.reshape(-1, n)
+    # c and s are n/2 times the cosine part at t = 0..h (written in place)
+    # and the sine part at t = 1..m (read from the interior imaginary parts
+    # only); x[n-t] = c - s and x[t] = c + s, then scaled by 2/n
+    c = rows[:, : h + 1]
+    np.matmul(re.reshape(-1, h + 1), cos, out=c)
+    s = im.reshape(-1, h + 1)[:, 1 : m + 1] @ sin
+    np.subtract(c[:, 1 : m + 1], s, out=rows[:, :h:-1])
+    c[:, 1 : m + 1] += s
+    out *= 2.0 / n
+    return out
 
 
 def half_weights(n: int) -> np.ndarray:

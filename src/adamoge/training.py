@@ -280,6 +280,14 @@ class GridResult:
     winner_store: ParameterStore  # the winner's parameters, at its best epoch
 
 
+def _labelled(log, combo: dict):
+    """``log`` with the combination appended to every line, or None."""
+    if log is None:
+        return None
+    tag = "  (" + " ".join(f"{k}={v}" for k, v in combo.items()) + ")"
+    return lambda line: log(line + tag)
+
+
 def grid_search(
     ds: Dataset, tc: TrainConfig, combos: list[dict], build_model, fingerprint_for=None, log=None,
 ) -> GridResult:
@@ -288,7 +296,9 @@ def grid_search(
 
     ``build_model`` maps a combo dict to a fresh (store, model) pair;
     ``fingerprint_for`` (optional) maps a combo to its config fingerprint;
-    ``log`` goes to each ``fit``.  ``fit`` leaves each model at its best
+    ``log`` goes to each ``fit``, each line followed by the combination it
+    belongs to, as in ``(e_max=3 depth=1 feature_dim=16)``, so that a
+    sweep's log splits by combination.  ``fit`` leaves each model at its best
     epoch, so the result carries the winner's own store, ready to save.  The
     report's ``seconds`` sums every combination's fit, test evaluation aside.
     """
@@ -297,7 +307,7 @@ def grid_search(
     best_entry = best_model = None
     for combo in combos:
         model = build_model(combo)[1]
-        result = fit(model, ds, tc, compute_test=False, log=log)
+        result = fit(model, ds, tc, compute_test=False, log=_labelled(log, combo))
         entry = GridEntry(combo, result.best_val_mse, model.parameter_count(), result.seconds,
                           result.epochs_run, result.diverged)
         entries.append(entry)

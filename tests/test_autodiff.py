@@ -280,8 +280,10 @@ class TestPrimitiveAdjoints:
 
     def test_rfft_adjoint(self, subtests=None):
         rng = np.random.default_rng(12)
-        for n in (8, 12, 96):
-            params = {"x": rng.standard_normal((3, n))}
+        # 2 has no interior bin (an empty sine plan); 720 is the longest
+        # horizon, where one row keeps the central differences cheap
+        for n, rows in ((8, 3), (12, 3), (96, 3), (2, 3), (3, 3), (97, 3), (720, 1)):
+            params = {"x": rng.standard_normal((rows, n))}
             f = n // 2 + 1
             swap = np.roll(np.eye(2 * f), f, axis=0)  # [re | im] @ swap.T = [im | re]
 
@@ -295,7 +297,7 @@ class TestPrimitiveAdjoints:
 
     def test_irfft_adjoint(self):
         rng = np.random.default_rng(13)
-        for n in (8, 13, 96):
+        for n in (8, 13, 96, 2, 3, 97, 720):
             f = n // 2 + 1
             params = {"spec": rng.standard_normal((2, 2 * f))}
 
@@ -305,6 +307,31 @@ class TestPrimitiveAdjoints:
 
             err = fd_check(build, params)
             assert err < 1e-6, f"n={n}: {err}"
+
+    @staticmethod
+    def _adjoint_gap(op, x, g):
+        """|<A x, g> - <x, A^T g>| / max(|<A x, g>|, |<x, A^T g>|) for the
+        linear primitive ``op``, its transpose read off one backward."""
+        leaf = Variable(x)
+        with Tape() as tape:
+            y = op(leaf)
+            tape.backward(ad.vsum(y * Variable(g)))
+        lhs, rhs = float(np.sum(y.value * g)), float(np.sum(x * leaf.grad))
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+    @pytest.mark.parametrize("n", [96, 97, 720])
+    def test_rfft_adjoint_identity(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((4, n))
+        g = rng.standard_normal((4, 2 * (n // 2 + 1)))
+        assert self._adjoint_gap(ad.rfft_op, x, g) < 1e-12
+
+    @pytest.mark.parametrize("n", [96, 97, 720])
+    def test_irfft_adjoint_identity(self, n):
+        rng = np.random.default_rng(n + 1)
+        x = rng.standard_normal((4, 2 * (n // 2 + 1)))
+        g = rng.standard_normal((4, n))
+        assert self._adjoint_gap(lambda v: ad.irfft_op(v, n), x, g) < 1e-12
 
     # expert 0 selected by samples 0 and 1, expert 1 by samples 1 and 2,
     # expert 2 by none

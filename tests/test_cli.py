@@ -553,6 +553,29 @@ class TestGridCli:
                      "--out", str(tmp_path / "ge")]) == 0
         assert json.loads(capsys.readouterr().out)["mse"] == grid_report["mse"]
 
+    def test_epoch_lines_split_by_combination(self, tmp_path, base_cfg, capsys):
+        out = str(tmp_path / "g")
+        assert main(["train", "--config", base_cfg, "--grid", "--out", out,
+                     "--override", "train.grid.e_max=2,3",
+                     "--override", "train.grid.depth=1",
+                     "--override", "train.grid.feature_dim=8"]) == 0
+        epochs = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epoch ")]
+        by_combo = {}
+        for line in epochs:
+            text, _, label = line.rpartition("  (")
+            by_combo.setdefault(label, []).append(text.split(":")[0])
+        assert by_combo == {
+            "e_max=2 depth=1 feature_dim=8)": ["epoch 0", "epoch 1"],
+            "e_max=3 depth=1 feature_dim=8)": ["epoch 0", "epoch 1"],
+        }
+        with open(os.path.join(out, "grid_summary.csv")) as fh:
+            val = {r["e_max"]: float(r["val_mse"]) for r in csv.DictReader(fh)}
+        # each combination's best logged validation MSE is its summary row's
+        for e_max in ("2", "3"):
+            logged = [float(l.split("val ")[1].split()[0]) for l in epochs
+                      if l.endswith(f"(e_max={e_max} depth=1 feature_dim=8)")]
+            assert min(logged) == pytest.approx(val[e_max], abs=1e-6)
+
     def test_diverged_combinations_warn_and_leave_val_mse_empty(self, tmp_path, base_cfg,
                                                                 capsys, monkeypatch):
         # every fit's gradient turns NaN at its second step, before any epoch

@@ -78,7 +78,17 @@ class TestInverse:
         with pytest.raises(ValueError):
             fourier.irfft(np.zeros(4), np.zeros(4), 4)
 
-    @pytest.mark.parametrize("n", [96, 97, 1023, 1024])
+    # the longest model horizon and the limit; the spectra are random, so
+    # every interior imaginary part counts
+    @pytest.mark.parametrize("n", [720, 1023, 1024])
+    def test_matches_naive_irfft(self, n):
+        rng = np.random.default_rng(200 + n)
+        re, im = rng.standard_normal((2, fourier.half_bins(n)))
+        want = np.array(naive_irfft([complex(a, b) for a, b in zip(re, im)], n))
+        scale = max(np.max(np.abs(want)), 1.0)
+        assert np.max(np.abs(fourier.irfft(re, im, n) - want)) / scale < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 96, 97, 720, 1023, 1024])
     @pytest.mark.parametrize("junk", [np.nan, np.inf, -np.inf, 1e300])
     def test_dc_and_nyquist_imaginary_parts_ignored(self, n, junk):
         rng = np.random.default_rng(n)
