@@ -404,22 +404,21 @@ def magnitude(spec) -> Variable:
     return out
 
 
-def complex_expert_map(spec, h, w, mask: np.ndarray, wre, wim) -> Variable:
+def complex_expert_map(spec, h, w, mask: np.ndarray, wp) -> Variable:
     """Gate-weighted sum of per-expert complex linear maps on band-passed
     spectra, as one GEMM on the input side.
 
     spec: (B, V, 2*F) packed ``[re | im]``, h: (E, B, F) real band-pass
-    responses, w and mask: (B, E), weight pair wre, wim: (E, O, F) ->
-    y: (B, V, 2*O) with
-    y[b,v] = sum over e in mask[b] of w[b,e] * (W[e] @ (h[e,b] * spec[b,v])),
-    packed the same way.  Band-pass, map and mix are linear in the spectrum,
-    so in real arithmetic y = [spec * c_1 | ... | spec * c_U] @ [M_1; ...; M_U]
-    with the (B, U, F) coefficients c_e = w[:, e] * h[e] of the experts
-    1..U that some sample of the batch selects, each applied to both halves,
-    and M_e = [[wre^T, wim^T], [-wim^T, wre^T]] expert e's (2F, 2O) block
-    matrix.  The left operand is formed sample-major, (B*V, U*2F), by one
-    broadcast product: no per-expert sub-band or output exists in either
-    pass.
+    responses, w and mask: (B, E), wp: (E, F, 2*O) each complex weight W[e]
+    stored as [Re W^T | Im W^T] -> y: (B, V, 2*O) packed like spec, with
+    y[b,v] = sum over e in mask[b] of w[b,e] * (W[e] @ (h[e,b] * spec[b,v])).
+    Band-pass, map and mix are linear in the spectrum, so with the (B, U, F)
+    coefficients c_e = w[:, e] * h[e] of the U experts that some sample
+    selects, the real and the imaginary half x_s of each (b, v) spectrum
+    make one row [x_s * c_1 | ... | x_s * c_U] of a (B*V*2, U*F) operand,
+    one broadcast product.  Its product P with wp[used] as (U*F, 2*O) gives
+    y = [P_re[:O] - P_im[O:] | P_re[O:] + P_im[:O]]; no per-expert sub-band,
+    output or block matrix exists in either pass.
 
     Masking.  The coefficients of a masked (sample, expert) pair are exact
     zeros, chosen before any product, so its response and weight, non-finite
@@ -430,41 +429,38 @@ def complex_expert_map(spec, h, w, mask: np.ndarray, wre, wim) -> Variable:
     it multiplies them by an exact zero, while a NaN or inf weight reaches
     that sample as 0 * NaN.
     """
-    spec, h, w = as_variable(spec), as_variable(h), as_variable(w)
-    wre, wim = as_variable(wre), as_variable(wim)
+    spec, h, w, wp = as_variable(spec), as_variable(h), as_variable(w), as_variable(wp)
     bdim, vdim, packed = spec.value.shape
-    odim, fdim = wre.value.shape[1:]
+    fdim, odim = packed // 2, wp.value.shape[2] // 2
     used = mask.any(axis=0).nonzero()[0]
     udim = used.size
-    m = np.empty((udim, 2 * fdim, 2 * odim))
-    m[:, :fdim, :odim] = m[:, fdim:, odim:] = wre.value[used].transpose(0, 2, 1)
-    m[:, :fdim, odim:] = wim.value[used].transpose(0, 2, 1)
-    np.negative(m[:, :fdim, odim:], out=m[:, fdim:, :odim])
-    m = m.reshape(udim * packed, 2 * odim)
+    wu = wp.value[used].reshape(udim * fdim, 2 * odim)
     kept = mask[:, used]  # (B, U)
     wsel = np.where(kept, w.value[:, used], 0.0)[:, :, None]
     hsel = np.where(kept[:, :, None], h.value[used].transpose(1, 0, 2), 0.0)
     c = wsel * hsel  # (B, U, F), exact zeros on the dropped pairs
     x = spec.value.reshape(bdim, vdim, 2, fdim)
-    lhs = (x[:, :, None] * c[:, None, :, None, :]).reshape(bdim * vdim, udim * packed)
-    out = Variable((lhs @ m).reshape(bdim, vdim, 2 * odim))
+    lhs = (x[:, :, :, None] * c[:, None, None]).reshape(bdim * vdim * 2, udim * fdim)
+    p = (lhs @ wu).reshape(bdim, vdim, 2, 2 * odim)
+    out = Variable(np.empty((bdim, vdim, 2 * odim)))
+    np.subtract(p[:, :, 0, :odim], p[:, :, 1, odim:], out=out.value[..., :odim])
+    np.add(p[:, :, 0, odim:], p[:, :, 1, :odim], out=out.value[..., odim:])
 
     def bwd(gy):
-        grows = gy.reshape(bdim * vdim, 2 * odim)
-        glhs = (grows @ m.T).reshape(bdim, vdim, udim, 2, fdim)
-        gspec = np.einsum("bvusf,buf->bvsf", glhs, c).reshape(spec.value.shape)
-        gc = np.where(kept[:, :, None], np.einsum("bvusf,bvsf->buf", glhs, x), 0.0)
+        # cotangent of P: [g_re, g_im] on the real row, [g_im, -g_re] on the imaginary
+        gp = np.concatenate([gy, gy[..., odim:], -gy[..., :odim]], axis=-1).reshape(-1, 2 * odim)
+        glhs = (gp @ wu.T).reshape(bdim, vdim, 2, udim, fdim)
+        gspec = np.einsum("bvsuf,buf->bvsf", glhs, c).reshape(spec.value.shape)
+        gc = np.where(kept[:, :, None], np.einsum("bvsuf,bvsf->buf", glhs, x), 0.0)
         gh = np.zeros(h.value.shape)
         gh[used] = (gc * wsel).transpose(1, 0, 2)
         gw = np.zeros(w.value.shape)
         gw[:, used] = np.einsum("buf,buf->bu", gc, hsel)
-        gm = (lhs.T @ grows).reshape(udim, packed, 2 * odim)
-        gwre, gwim = np.zeros(wre.value.shape), np.zeros(wim.value.shape)
-        gwre[used] = (gm[:, :fdim, :odim] + gm[:, fdim:, odim:]).transpose(0, 2, 1)
-        gwim[used] = (gm[:, :fdim, odim:] - gm[:, fdim:, :odim]).transpose(0, 2, 1)
-        return gspec, gh, gw, gwre, gwim
+        gwp = np.zeros(wp.value.shape)
+        gwp[used] = (lhs.T @ gp).reshape(udim, fdim, 2 * odim)
+        return gspec, gh, gw, gwp
 
-    _record((spec, h, w, wre, wim), out, bwd)
+    _record((spec, h, w, wp), out, bwd)
     return out
 
 

@@ -1,8 +1,9 @@
 """Run configuration: flat ``section.key = value`` text files plus overrides.
 
 Every key has a default; unknown keys are rejected by name.  The fingerprint
-is a SHA-256 over the canonical rendering of all non-output keys and is what
-ties checkpoints, reports and eval runs together.
+is a SHA-256 over the canonical rendering of every key that changes a trained
+checkpoint, which leaves out ``output.*`` and the ``train.grid.*`` sweep, and
+is what ties checkpoints, reports and eval runs together.
 """
 
 from __future__ import annotations
@@ -178,17 +179,22 @@ def _render_value(value) -> str:
     return str(value)
 
 
-def render(cfg: RunConfig, include_output: bool = True) -> str:
-    """Canonical text form (sorted keys); parses back to an equal config."""
+# where the artifacts go, and the sweep a --grid run reads; the combination
+# a run trains is in model.*
+_NOT_FINGERPRINTED = ("output.", "train.grid.")
+
+
+def render(cfg: RunConfig, fingerprinted_only: bool = False) -> str:
+    """Canonical text form (sorted keys); parses back to an equal config.
+    With ``fingerprinted_only``, only the keys that change a checkpoint."""
     lines = []
     for key in sorted(_SCHEMA):
-        if not include_output and key.startswith("output."):
+        if fingerprinted_only and key.startswith(_NOT_FINGERPRINTED):
             continue
         lines.append(f"{key} = {_render_value(_value(cfg, key))}")
     return "\n".join(lines) + "\n"
 
 
 def fingerprint(cfg: RunConfig) -> str:
-    """SHA-256 of everything that affects the trained artifact (output.dir
-    is pure plumbing and excluded)."""
-    return hashlib.sha256(render(cfg, include_output=False).encode()).hexdigest()
+    """SHA-256 of everything that affects the trained artifact."""
+    return hashlib.sha256(render(cfg, fingerprinted_only=True).encode()).hexdigest()

@@ -186,8 +186,14 @@ def fit_norm(table: SeriesTable, train_range: tuple[int, int]) -> NormStats:
     if end <= start:
         raise DataError("empty training range")
     block = table.values[start:end]
-    mean = block.mean(axis=0)
-    std = block.std(axis=0)  # population std
+    # finite cells can still overflow the sums: report that by column below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = block.mean(axis=0)
+        std = block.std(axis=0)  # population std
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    if np.any(overflow):
+        names = [table.names[i] for i in np.flatnonzero(overflow)]
+        raise DataError(f"columns {names}: mean or std of the training rows overflows float64")
     floored = std < 1e-8
     if np.any(floored):
         warnings.warn(

@@ -30,8 +30,10 @@ per (sample, variable) row.  The model transposes the public (B, L, V)
 window once on entry and its (B, V, H) forecast once on exit.  The bank's
 responses are expert-major, (E, B, F), and no sub-band tensor exists: the
 expert map reads the (B, V, 2F) spectrum and the responses and writes the
-mixed (B, V, 2O) spectrum.  The gate's outputs and ``BlockDiagnostics``
-stay (B, E).
+mixed (B, V, 2O) spectrum.  Each block stores its experts in the layout
+that map reads: ``experts.w`` (E, F, 2O), each complex (O, F) weight W as
+[Re W^T | Im W^T], and ``experts.b`` (E, 1, 1, 2O), each bias as
+[Re b | Im b].  The gate's outputs and ``BlockDiagnostics`` stay (B, E).
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ class ModelConfig:
         for name in ("e_max", "depth", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"model.{name} must be >= 1, got {getattr(self, name)}")
+        # more experts than bins leaves some bands without a bin
+        bins = half_bins(lookback)
+        if self.e_max > bins:
+            raise ValueError(f"model.e_max {self.e_max} exceeds the {bins} frequency bins "
+                             f"of a {lookback}-step window")
         for name, choices in (("mode", FILTER_MODES), ("family", FILTER_FAMILIES)):
             value = getattr(self, f"filter_{name}")
             if value not in choices:
@@ -189,13 +196,12 @@ class AdaMoGeBlock:
             self.b2 = store.add(f"{prefix}.gate.b2", np.zeros(1))
         self.wg = store.add(f"{prefix}.gate.wg", uniform((cfg.e_max, feat), feat))
         self.bg = store.add(f"{prefix}.gate.bg", np.zeros(cfg.e_max))
-        # complex expert maps: unit-magnitude rows scaled by 1/sqrt(F)
+        # complex expert maps, unit-magnitude entries scaled by 1/sqrt(F)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.e_max, self.out_bins, self.bins))
         scale = 1.0 / np.sqrt(self.bins)
-        self.ewre = store.add(f"{prefix}.experts.wre", scale * np.cos(phase))
-        self.ewim = store.add(f"{prefix}.experts.wim", scale * np.sin(phase))
-        self.ebre = store.add(f"{prefix}.experts.bre", np.zeros((cfg.e_max, self.out_bins)))
-        self.ebim = store.add(f"{prefix}.experts.bim", np.zeros((cfg.e_max, self.out_bins)))
+        w = np.concatenate([scale * np.cos(phase), scale * np.sin(phase)], axis=1)
+        self.ew = store.add(f"{prefix}.experts.w", w.transpose(0, 2, 1))
+        self.eb = store.add(f"{prefix}.experts.b", np.zeros((cfg.e_max, 1, 1, 2 * self.out_bins)))
         self.fw1 = store.add(f"{prefix}.ffn.w1", uniform((hid, out_len), out_len))
         self.fb1 = store.add(f"{prefix}.ffn.b1", np.zeros(hid))
         self.fw2 = store.add(f"{prefix}.ffn.w2", uniform((out_len, hid), hid))
@@ -217,9 +223,8 @@ class AdaMoGeBlock:
         weights run as one GEMM on the spectrum; the biases, which do not
         depend on the input, are mixed per sample on their own."""
         w, mask = decision.weights, decision.mask
-        mapped = ad.complex_expert_map(spec, h, w, mask, self.ewre, self.ewim)
-        bias = ad.reshape(ad.concat([self.ebre, self.ebim], axis=1), (self.cfg.e_max, 1, 1, -1))
-        return mapped + ad.masked_weighted_sum(bias, w, mask)
+        mapped = ad.complex_expert_map(spec, h, w, mask, self.ew)
+        return mapped + ad.masked_weighted_sum(self.eb, w, mask)
 
     def _ffn(self, y: Variable) -> Variable:
         b, v, t = y.value.shape

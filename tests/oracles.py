@@ -10,6 +10,7 @@ them.
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,14 +71,46 @@ def sub_bands(spec, h) -> np.ndarray:
     return np.concatenate([re[None] * hb, im[None] * hb], axis=-1)
 
 
-def expert_spectra(spec, h, wre, wim, bre, bim) -> np.ndarray:
+class ExpertParts(NamedTuple):
+    """Writable views of one block's experts in complex (real, imaginary)
+    form: weights (E, O, F) and biases (E, O)."""
+
+    wre: np.ndarray
+    wim: np.ndarray
+    bre: np.ndarray
+    bim: np.ndarray
+
+
+def expert_parts(w, b) -> ExpertParts:
+    """The parts of experts in the stored layout, the (E, F, 2O) weights
+    [Re W^T | Im W^T] and the (E, 1, 1, 2O) biases [Re b | Im b], as views:
+    writing a part writes the packed array.  ``w`` and ``b`` may be a
+    store's values or gradients."""
+    o = w.shape[-1] // 2
+    wt = w.transpose(0, 2, 1)
+    flat = b.reshape(b.shape[0], 2 * o)
+    return ExpertParts(wt[:, :o], wt[:, o:], flat[:, :o], flat[:, o:])
+
+
+def packed_experts(w, bias) -> tuple[np.ndarray, np.ndarray]:
+    """Complex (E, O, F) weights and (E, O) biases in the stored layout."""
+    e, o, f = w.shape
+    packed = np.empty((e, f, 2 * o)), np.empty((e, 1, 1, 2 * o))
+    for part, value in zip(expert_parts(*packed), (w.real, w.imag, bias.real, bias.imag)):
+        part[...] = value
+    return packed
+
+
+def expert_spectra(spec, h, w, b) -> np.ndarray:
     """Every expert's complex affine map on its band-passed spectrum for
-    every sample, in complex numpy: a (B, V, 2F) spectrum and (E, B, F)
-    responses -> (E, B, V, 2O) packed ``[re | im]``,
+    every sample, in complex numpy: a (B, V, 2F) spectrum, (E, B, F)
+    responses and the stored (E, F, 2O) weights and (E, 1, 1, 2O) biases ->
+    (E, B, V, 2O) packed ``[re | im]``,
     y[e,b,v] = W[e] @ (h[e,b] * spec[b,v]) + b[e]."""
     sub = sub_bands(spec, h)
     f = sub.shape[-1] // 2
     x = sub[..., :f] + 1j * sub[..., f:]
+    wre, wim, bre, bim = expert_parts(w, b)
     y = np.einsum("eof,ebvf->ebvo", wre + 1j * wim, x) + (bre + 1j * bim)[:, None, None]
     return np.concatenate([y.real, y.imag], axis=-1)
 

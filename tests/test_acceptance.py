@@ -27,6 +27,7 @@ from adamoge.training import Adam, TrainConfig, fit
 from oracles import (
     decision_margins,
     dog_response,
+    expert_parts,
     khead_parameter_names,
     naive_half_spectrum,
     naive_irfft,
@@ -119,12 +120,13 @@ def test_criterion_3_gate_invariants():
         if not unselected:
             continue
         e = unselected[bit_checks % len(unselected)]
-        saved = store["b0.experts.wre"].value[e].copy()
-        store["b0.experts.wre"].value[e] += rng.uniform(0.5, 2.0)
-        store["b0.experts.bim"].value[e] -= 1.0
+        experts = expert_parts(store["b0.experts.w"].value, store["b0.experts.b"].value)
+        saved = experts.wre[e].copy()
+        experts.wre[e] += rng.uniform(0.5, 2.0)
+        experts.bim[e] -= 1.0
         again = model.predict(x)
-        store["b0.experts.wre"].value[e] = saved
-        store["b0.experts.bim"].value[e] += 1.0
+        experts.wre[e] = saved
+        experts.bim[e] += 1.0
         assert base.tobytes() == again.tobytes()
         bit_checks += 1
         if bit_checks >= 50:

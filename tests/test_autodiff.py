@@ -14,6 +14,8 @@ from adamoge.autodiff import (
 )
 from adamoge.moge import AdaMoGeModel, ModelConfig
 
+from oracles import expert_parts, packed_experts
+
 
 def make_store(**arrays):
     store = ParameterStore()
@@ -119,7 +121,7 @@ class TestGradientRule:
         assert xv.grad is not None and xv.grad.shape == xv.shape
         for p in store:
             assert p.grad is None or p.grad.shape == p.shape, p.name
-        assert store["b0.experts.wre"].grad is not None
+        assert store["b0.experts.w"].grad is not None
 
     def test_shared_cotangent_stays_independent(self):
         # ``add`` hands its one cotangent object to both inputs; ``a * d`` is
@@ -338,13 +340,11 @@ class TestPrimitiveAdjoints:
     MAP_MASK = np.array([[True, False, False], [True, True, False], [False, True, False]])
 
     @staticmethod
-    def _mixed_map(spec, h, w, mask, wre, wim, bre, bim):
+    def _mixed_map(spec, h, w, mask, wp, bias):
         """The gate's mix of the experts' affine maps on their band-passed
         spectra, as the block forms it: the map on the input side plus the
         per-sample mix of the biases."""
-        e = bre.value.shape[0]
-        bias = ad.reshape(ad.concat([bre, bim], axis=1), (e, 1, 1, -1))
-        mapped = ad.complex_expert_map(spec, h, w, mask, wre, wim)
+        mapped = ad.complex_expert_map(spec, h, w, mask, wp)
         return mapped + ad.masked_weighted_sum(bias, w, mask)
 
     def test_complex_expert_map_adjoint(self):
@@ -355,15 +355,12 @@ class TestPrimitiveAdjoints:
             "spec": rng.standard_normal((b, v, 2 * f)),
             "h": rng.uniform(-1.0, 1.0, size=(e, b, f)),
             "w": rng.uniform(0.1, 1.0, size=(b, e)),
-            "wre": rng.standard_normal((e, o, f)),
-            "wim": rng.standard_normal((e, o, f)),
-            "bre": rng.standard_normal((e, o)),
-            "bim": rng.standard_normal((e, o)),
+            "wp": rng.standard_normal((e, f, 2 * o)),
+            "bias": rng.standard_normal((e, 1, 1, 2 * o)),
         }
 
         def build(s):
-            y = self._mixed_map(s["spec"], s["h"], s["w"], mask, s["wre"], s["wim"],
-                                s["bre"], s["bim"])
+            y = self._mixed_map(s["spec"], s["h"], s["w"], mask, s["wp"], s["bias"])
             return ad.vsum(ad.square(y))
 
         err = fd_check(build, params)
@@ -394,7 +391,7 @@ class TestPrimitiveAdjoints:
         o = w.shape[1]
         y = self._mixed_map(
             Variable(self._packed(x)), Variable(h), Variable(gate), self.MAP_MASK,
-            *(Variable(a) for a in (w.real, w.imag, bias.real, bias.imag)),
+            *(Variable(a) for a in packed_experts(w, bias)),
         ).value
         for b, v in np.ndindex(x.shape[0], x.shape[1]):
             want = sum(
@@ -410,13 +407,14 @@ class TestPrimitiveAdjoints:
         x, h, w, bias, gate = self._complex_map_case(rng)
         mask = self.MAP_MASK
         o = w.shape[1]
-        store = make_store(spec=self._packed(x), h=h, gate=gate, wre=w.real, wim=w.imag,
-                           bre=bias.real, bim=bias.imag)
+        wp, bp = packed_experts(w, bias)
+        store = make_store(spec=self._packed(x), h=h, gate=gate, wp=wp, bias=bp)
         gy = rng.standard_normal((x.shape[0], x.shape[1], 2 * o))
         with Tape() as tape:
             y = self._mixed_map(*(store[n] for n in ("spec", "h", "gate")), mask,
-                                *(store[n] for n in ("wre", "wim", "bre", "bim")))
+                                store["wp"], store["bias"])
             tape.backward(ad.vsum(y * gy))
+        grads = expert_parts(store["wp"].grad, store["bias"].grad)
         # the packed cotangent as one complex number per output bin
         g = gy[..., :o] + 1j * gy[..., o:]
         wm = gate * mask
@@ -431,20 +429,19 @@ class TestPrimitiveAdjoints:
         # d(loss)/d(gate[b,e]) = Re <g, W_e (h_e x) + b_e> on the mask
         ye = np.einsum("eof,bevf->bevo", w, sub) + bias[None, :, None]
         ggate = mask * np.einsum("bvo,bevo->be", np.conj(g), ye).real
-        for name, want in (
-            ("wre", gw.real),
-            ("wim", gw.imag),
-            ("bre", gb.real),
-            ("bim", gb.imag),
-            ("spec", self._packed(gspec)),
-            ("h", gh),
-            ("gate", ggate),
+        for name, got, want in (
+            ("wre", grads.wre, gw.real),
+            ("wim", grads.wim, gw.imag),
+            ("bre", grads.bre, gb.real),
+            ("bim", grads.bim, gb.imag),
+            ("spec", store["spec"].grad, self._packed(gspec)),
+            ("h", store["h"].grad, gh),
+            ("gate", store["gate"].grad, ggate),
         ):
-            got = store[name].grad
             assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want)), name
         # the expert no sample selects is never read: exact zeros
-        for name in ("wre", "wim", "bre", "bim"):
-            assert np.all(store[name].grad[2] == 0.0), name
+        for name, got in grads._asdict().items():
+            assert np.all(got[2] == 0.0), name
         assert np.all(store["h"].grad[2] == 0.0)
 
     @pytest.mark.parametrize("planted", [np.nan, np.inf, 3.5])
@@ -452,15 +449,16 @@ class TestPrimitiveAdjoints:
         # sample 2 does not select expert 0: its response there reaches
         # neither the output nor any gradient, and gets an exact zero one
         rng = np.random.default_rng(22)
-        x, h, w, _, gate = self._complex_map_case(rng)
+        x, h, w, bias, gate = self._complex_map_case(rng)
         mask = self.MAP_MASK
         gy = rng.standard_normal((x.shape[0], x.shape[1], 2 * w.shape[1]))
+        wp, _ = packed_experts(w, bias)
 
         def run(h):
-            store = make_store(spec=self._packed(x), h=h, gate=gate, wre=w.real, wim=w.imag)
+            store = make_store(spec=self._packed(x), h=h, gate=gate, wp=wp)
             with Tape() as tape:
                 y = ad.complex_expert_map(*(store[n] for n in ("spec", "h", "gate")), mask,
-                                          store["wre"], store["wim"])
+                                          store["wp"])
                 tape.backward(ad.vsum(y * gy))
             return y.value, {p.name: p.grad for p in store}
 
@@ -469,7 +467,7 @@ class TestPrimitiveAdjoints:
         planted_h[0, 2] = planted
         again, grads = run(planted_h)
         assert again.tobytes() == base.tobytes()
-        for name in ("spec", "gate", "wre", "wim"):
+        for name in ("spec", "gate", "wp"):
             assert grads[name].tobytes() == base_grads[name].tobytes(), name
         assert np.all(grads["h"][0, 2] == 0.0)
         # and the expert no sample selects gets exact zeros
@@ -479,13 +477,13 @@ class TestPrimitiveAdjoints:
         # a NaN weight of expert 0 reaches every sample through the GEMM, but
         # the pair (sample 2, expert 0) still gets exact zero gradients
         rng = np.random.default_rng(23)
-        x, h, w, _, gate = self._complex_map_case(rng)
-        wre = w.real.copy()
-        wre[0, 1, 2] = np.nan
-        store = make_store(spec=self._packed(x), h=h, gate=gate, wre=wre, wim=w.imag)
+        x, h, w, bias, gate = self._complex_map_case(rng)
+        wp, bp = packed_experts(w, bias)
+        expert_parts(wp, bp).wre[0, 1, 2] = np.nan
+        store = make_store(spec=self._packed(x), h=h, gate=gate, wp=wp)
         with Tape() as tape:
             y = ad.complex_expert_map(*(store[n] for n in ("spec", "h", "gate")), self.MAP_MASK,
-                                      store["wre"], store["wim"])
+                                      store["wp"])
             tape.backward(ad.vsum(y))
         assert np.isnan(store["h"].grad[0, 0]).any()
         assert np.all(store["h"].grad[0, 2] == 0.0)

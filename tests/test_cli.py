@@ -67,6 +67,7 @@ BAD_VALUES = [
     (["--override", "train.batch_size=0"], "train.batch_size"),
     (["--override", "train.epochs=0"], "train.epochs"),
     (["--override", "model.e_max=0"], "model.e_max"),
+    (["--override", "model.e_max=18"], "model.e_max"),  # 17 bins at lookback 32
     (["--override", "model.depth=0"], "model.depth"),
     (["--override", "model.feature_dim=0"], "model.feature_dim"),
     (["--override", "model.fixed_k=9", "--override", "model.adaptive_k=false"],
@@ -136,6 +137,41 @@ class TestTrain:
                      "data.path=/nope/missing.csv", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "/nope/missing.csv" in capsys.readouterr().err
+
+    def test_unset_data_path_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data.path is not set" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_date_only_csv_exits_2(self, tmp_path, base_cfg, capsys):
+        path = tmp_path / "dates.csv"
+        path.write_text("date\n2020-01-01 00:00:00\n2020-01-01 01:00:00\n")
+        out = tmp_path / "out"
+        code = main(["train", "--config", base_cfg, "--override", f"data.path={path}",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "need a timestamp column plus data columns" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_normalisation_exits_2_naming_column(self, tmp_path, base_cfg,
+                                                             capsys):
+        # every cell is finite, but the variance of column s1 overflows
+        table = sinusoid_table(700, variables=2, cycles_per_window=(3.0,), window=32,
+                               snr_db=14.0, seed=0)
+        table.values[:, 1] *= 1e300
+        path = str(tmp_path / "huge.csv")
+        datamod.save_csv(table, path)
+        out = tmp_path / "out"
+        code = main(["train", "--config", base_cfg, "--override", f"data.path={path}",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'s1'" in err and "overflows" in err
+        assert "'s0'" not in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_override_is_usage_error(self, tmp_path, base_cfg, capsys):
         code = main(["train", "--config", base_cfg, "--override", "model.bogus=1"])
@@ -263,6 +299,25 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert "truncated" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["trailing bytes", "directory"])
+    def test_unreadable_checkpoint_is_usage_error(self, tmp_path, base_cfg, capsys, damage):
+        code, out = run_train(tmp_path, base_cfg)
+        path = os.path.join(out, "checkpoint.bin")
+        if damage == "trailing bytes":
+            with open(path, "ab") as fh:
+                fh.write(b"\0" * 8)
+            want = "trailing bytes after last entry"
+        else:
+            os.remove(path)
+            os.mkdir(path)
+            want = "cannot read checkpoint"
+        capsys.readouterr()
+        code = main(["eval", path, "--out", str(tmp_path / "e6")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert want in err and "Traceback" not in err
+        assert not (tmp_path / "e6").exists()
 
     def test_nonfinite_metrics_exit_3_without_report(self, tmp_path, base_cfg, capsys):
         path = nan_checkpoint(tmp_path, base_cfg)
@@ -603,21 +658,38 @@ class TestGridCli:
     def test_one_point_grid_is_the_plain_run(self, tmp_path, base_cfg, capsys):
         # base_cfg names e_max 3, depth 1, feature_dim 8: a grid of just that
         # combination must train, save and report exactly what train does.
-        # The grid keys are part of the fingerprint, so both runs set them.
+        # The grid keys are not part of the fingerprint, so the plain run
+        # leaves them at their defaults.
         def run(out_dir, *extra):
             out = str(tmp_path / out_dir)
-            assert main(["train", "--config", base_cfg, "--out", out,
-                         "--override", "train.grid.e_max=3",
-                         "--override", "train.grid.depth=1",
-                         "--override", "train.grid.feature_dim=8", *extra]) == 0
+            assert main(["train", "--config", base_cfg, "--out", out, *extra]) == 0
             lines = capsys.readouterr().out.splitlines()
             with open(os.path.join(out, "checkpoint.bin"), "rb") as fh:
                 return fh.read(), lines
 
         plain, plain_lines = run("plain")
-        grid, grid_lines = run("grid", "--grid")
+        grid, grid_lines = run("grid", "--grid", "--override", "train.grid.e_max=3",
+                               "--override", "train.grid.depth=1",
+                               "--override", "train.grid.feature_dim=8")
         assert grid == plain
         sha = [l for l in plain_lines if l.startswith("report sha256:")]
         assert len(sha) == 1 and sha == [l for l in grid_lines if l.startswith("report sha256:")]
         epochs = [l for l in grid_lines if l.startswith("epoch ")]
         assert len(epochs) == 2 and epochs == [l for l in plain_lines if l.startswith("epoch ")]
+
+    def test_grid_keys_leave_a_plain_run_alone(self, tmp_path, base_cfg, capsys):
+        # only a --grid sweep reads train.grid.*: a plain run that sets a grid
+        # key writes the same checkpoint bytes, and eval under a config
+        # without that key accepts the checkpoint
+        def train(out_dir, *extra):
+            out = str(tmp_path / out_dir)
+            assert main(["train", "--config", base_cfg, "--out", out, *extra]) == 0
+            return os.path.join(out, "checkpoint.bin")
+
+        plain = train("plain")
+        gridded = train("gridded", "--override", "train.grid.e_max=3")
+        with open(plain, "rb") as a, open(gridded, "rb") as b:
+            assert a.read() == b.read()
+        capsys.readouterr()
+        assert main(["eval", gridded, "--config", base_cfg, "--out", str(tmp_path / "ev")]) == 0
+        assert "fingerprint" not in capsys.readouterr().err

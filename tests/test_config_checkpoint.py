@@ -57,8 +57,10 @@ class TestConfig:
         base = cfgmod.fingerprint(RunConfig())
         horizon = cfgmod.apply_overrides(RunConfig(), ["data.horizon=192"])
         outdir = cfgmod.apply_overrides(RunConfig(), ["output.dir=elsewhere"])
+        grid = cfgmod.apply_overrides(RunConfig(), ["train.grid.e_max=3"])
         assert cfgmod.fingerprint(horizon) != base
         assert cfgmod.fingerprint(outdir) == base  # plumbing only
+        assert cfgmod.fingerprint(grid) == base  # read by --grid sweeps only
 
 
 class TestCheckpoint:

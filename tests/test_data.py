@@ -1,11 +1,12 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from adamoge import data
 from adamoge.data import DataError
-from adamoge.synthetic import hourly_timestamps, sinusoid_table
+from adamoge.synthetic import hourly_timestamps, load_like_table, sinusoid_table
 
 from oracles import constant_table
 
@@ -168,6 +169,15 @@ class TestNormalisation:
         assert np.max(np.abs(normed.mean(axis=0))) < 1e-9
         assert np.max(np.abs(normed.std(axis=0) - 1.0)) < 1e-9
 
+    def test_overflowing_statistics_name_the_column(self):
+        # every cell is finite, but the variance of column s1 overflows
+        table = sinusoid_table(400, variables=3, seed=4)
+        table.values[:, 1] *= 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"\['s1'\]: mean or std .* overflows"):
+                data.fit_norm(table, (0, 280))
+
     def test_stats_ignore_test_rows(self):
         table = sinusoid_table(400, seed=4)
         stats1 = data.fit_norm(table, (0, 280))
@@ -225,3 +235,20 @@ class TestPrepare:
         assert ds.values.shape == table.values.shape
         train = ds.values[:700]
         assert abs(train.mean()) < 1e-9
+
+
+class TestLoadLikeTable:
+    def test_deterministic_finite_and_prepares_as_etth(self):
+        # the benchmark's stand-in for ETTh1: 17420 hourly rows of 7 variables
+        table = load_like_table(seed=1)
+        assert table.values.shape == (17420, 7)
+        assert np.isfinite(table.values).all()
+        again, other = load_like_table(seed=1), load_like_table(seed=2)
+        assert again.values.tobytes() == table.values.tobytes()
+        assert again.timestamps == table.timestamps
+        assert other.values.tobytes() != table.values.tobytes()
+        ds = data.prepare(table, "etth", 96, 720, "etth_like")
+        assert (ds.split.train, ds.split.val, ds.split.test) == (
+            (0, 8640), (8544, 11520), (11424, 14400))
+        assert np.isfinite(ds.values).all()
+        assert len(data.window_origins(ds.split.test, 96, 720)) == 14400 - 11424 - 816 + 1

@@ -13,6 +13,7 @@ from adamoge.moge import AdaMoGeModel, ModelConfig
 from oracles import (
     decision_margins,
     dog_response,
+    expert_parts,
     expert_spectra,
     khead_parameter_names,
     naive_half_spectrum,
@@ -20,6 +21,11 @@ from oracles import (
     passbands,
     scalar_softmax,
 )
+
+
+def experts_of(store):
+    """Writable complex-part views of block 0's stored experts."""
+    return expert_parts(store["b0.experts.w"].value, store["b0.experts.b"].value)
 
 
 def build_model(lookback=16, horizon=8, variables=2, seed=0, **cfg_kw):
@@ -45,6 +51,7 @@ def reference_forward(store, model, x):
     FO = H // 2 + 1
     fnyq = float(F - 1)
     B = x.shape[0]
+    experts = experts_of(store)
     out = np.zeros((B, H, V))
     for b in range(B):
         X = [naive_half_spectrum(x[b, :, v].tolist()) for v in range(V)]
@@ -78,10 +85,7 @@ def reference_forward(store, model, x):
             h = [math.exp(-0.5 * ((f - center + (f2 - f1) / 2.0) / sigma) ** 2)
                  - math.exp(-0.5 * ((f - center - (f2 - f1) / 2.0) / sigma) ** 2)
                  for f in range(F)]
-            wre = store["b0.experts.wre"].value[e]
-            wim = store["b0.experts.wim"].value[e]
-            bre = store["b0.experts.bre"].value[e]
-            bim = store["b0.experts.bim"].value[e]
+            wre, wim, bre, bim = (part[e] for part in experts)
             for v in range(V):
                 sub = [X[v][f] * h[f] for f in range(F)]
                 Y = [
@@ -196,8 +200,8 @@ class TestSelectTopK:
 class TestExpertForward:
     def test_zero_experts_zero_forecast(self):
         store, model = build_model()
-        for leaf in ("wre", "wim", "bre", "bim"):
-            store[f"b0.experts.{leaf}"].value[...] = 0.0
+        for part in experts_of(store):
+            part[...] = 0.0
         for leaf in ("w1", "w2", "b1", "b2"):
             store[f"b0.ffn.{leaf}"].value[...] = 0.0
         x = np.random.default_rng(5).standard_normal((2, 16, 2))
@@ -208,8 +212,8 @@ class TestExpertForward:
         store, model = build_model(lookback=16, horizon=16, e_max=1,
                                    filter_family="truncation", adaptive_k=False, fixed_k=1)
         f = 9
-        store["b0.experts.wre"].value[...] = np.eye(f)[None]
-        store["b0.experts.wim"].value[...] = 0.0
+        experts_of(store).wre[...] = np.eye(f)[None]
+        experts_of(store).wim[...] = 0.0
         for leaf in ("w1", "w2", "b1", "b2"):
             store[f"b0.ffn.{leaf}"].value[...] = 0.0
         x = np.random.default_rng(6).standard_normal((2, 16, 2))
@@ -226,7 +230,7 @@ class TestExpertForward:
         for leaf in ("w1", "w2", "b1", "b2"):
             store[f"b0.ffn.{leaf}"].value[...] = 0.0
         spec = naive_half_spectrum(x[0, :, 0].tolist())
-        w = store["b0.experts.wre"].value[0] + 1j * store["b0.experts.wim"].value[0]
+        w = experts_of(store).wre[0] + 1j * experts_of(store).wim[0]
         want_spec = complex_matvec(w.tolist(), spec)
         want = np.array(naive_irfft(want_spec, 4)) * (4 / 8)
         got = model.predict(x)[0, :, 0]
@@ -248,8 +252,8 @@ class TestForward:
         # bins; the mixed spectrum's imaginary parts must land exactly where
         # each expert's own inverse transform would put them
         store, model = build_model(lookback=16, horizon=horizon, variables=2, e_max=3, seed=4)
-        store["b0.experts.bim"].value[...] = np.random.default_rng(31).standard_normal(
-            store["b0.experts.bim"].value.shape
+        experts_of(store).bim[...] = np.random.default_rng(31).standard_normal(
+            experts_of(store).bim.shape
         )
         x = 0.7 * np.random.default_rng(32).standard_normal((3, 16, 2))
         got = model.predict(x)
@@ -269,8 +273,8 @@ class TestForward:
 
         spec = spectrum_of(Variable(x.transpose(0, 2, 1)))
         h = block.bank.apply(spec).h
-        spectra = expert_spectra(spec.value, h.value, *(store[f"b0.experts.{leaf}"].value
-                                                       for leaf in ("wre", "wim", "bre", "bim")))
+        spectra = expert_spectra(spec.value, h.value, store["b0.experts.w"].value,
+                                 store["b0.experts.b"].value)
         o = block.out_bins
         per_expert = fourier.irfft(spectra[..., :o], spectra[..., o:], block.out_len) * (
             block.out_len / block.in_len
@@ -297,8 +301,8 @@ class TestForward:
 
     def test_unselected_expert_is_bit_inert(self):
         store, model, x, base = self.starved_expert_model()
-        store["b0.experts.wre"].value[2] += 3.5
-        store["b0.experts.bim"].value[2] -= 1.25
+        experts_of(store).wre[2] += 3.5
+        experts_of(store).bim[2] -= 1.25
         again = model.predict(x)
         assert base.tobytes() == again.tobytes()
 
@@ -306,7 +310,7 @@ class TestForward:
     @pytest.mark.parametrize("planted", [np.nan, np.inf])
     def test_unselected_expert_nonfinite_weights_are_bit_inert(self, planted):
         store, model, x, base = self.starved_expert_model()
-        store["b0.experts.wre"].value[2, 1] = planted
+        experts_of(store).wre[2, 1] = planted
         again = model.predict(x)
         assert np.all(np.isfinite(again))
         assert base.tobytes() == again.tobytes()
@@ -321,8 +325,8 @@ class TestForward:
         base = model.forward(Variable(x), diag).value
         picks = diag[0].decision.mask[:, 1]
         assert 0 < picks.sum() < len(picks)
-        store["b0.experts.wre"].value[1] += 3.5
-        store["b0.experts.bim"].value[1] -= 1.25
+        experts_of(store).wre[1] += 3.5
+        experts_of(store).bim[1] -= 1.25
         again = model.predict(x)
         assert again[~picks].tobytes() == base[~picks].tobytes()
         assert np.all(again[picks] != base[picks])
@@ -337,9 +341,10 @@ class TestForward:
             out = model.forward(Variable(x))
             loss = ad.vmean(ad.square(out))
             tape.backward(loss)
-        assert np.all(store["b0.experts.wre"].grad[2] == 0.0)
-        assert np.all(store["b0.experts.wim"].grad[2] == 0.0)
-        assert np.any(store["b0.experts.wre"].grad[0] != 0.0)
+        grads = expert_parts(store["b0.experts.w"].grad, store["b0.experts.b"].grad)
+        assert np.all(grads.wre[2] == 0.0)
+        assert np.all(grads.wim[2] == 0.0)
+        assert np.any(grads.wre[0] != 0.0)
 
     def test_weights_sum_to_one_with_exactly_k_nonzero(self):
         store, model = build_model(e_max=5, seed=2)
@@ -380,10 +385,17 @@ class TestForward:
         ({"alpha": np.inf}, "model.alpha"),
         ({"sigma_max": np.inf}, "model.sigma_max"),
         ({"sigma_min": np.inf}, "model.sigma_min"),
+        # 9 bins at lookback 16
+        ({"lookback": 16, "e_max": 10}, "model.e_max"),
     ])
     def test_bad_model_config_rejected_at_build(self, kw, key):
         with pytest.raises(ValueError, match=key):
-            build_model(lookback=96, horizon=24, **kw)
+            build_model(**{"lookback": 96, "horizon": 24, **kw})
+
+    def test_one_expert_per_bin_builds(self):
+        store, model = build_model(lookback=16, horizon=8, e_max=9)
+        x = np.random.default_rng(14).standard_normal((2, 16, 2))
+        assert np.all(np.isfinite(model.predict(x)))
 
 
 def separate_bank_evaluation(bank, spec):
@@ -470,11 +482,11 @@ class TestLayout:
         assert out.value.shape == (3, 8, 2)
         assert calls == {"transpose": 2, "magnitude": depth}
 
-    @pytest.mark.parametrize("depth, nodes", [(1, 82), (3, 236)])
+    @pytest.mark.parametrize("depth, nodes", [(1, 80), (3, 230)])
     def test_train_step_forms_no_sub_band_tensor(self, depth, nodes):
         # the band-pass runs inside the expert map's GEMM operand: no tape
         # node writes the expert-major (E, B, V, 2F) sub-bands, and each
-        # block records 76 nodes (77 with the residual add)
+        # block records 74 nodes (75 with the residual add)
         store, model = build_model(lookback=16, horizon=8, depth=depth)
         rng = np.random.default_rng(33)
         x, y = rng.standard_normal((5, 16, 2)), rng.standard_normal((5, 8, 2))
