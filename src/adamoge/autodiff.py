@@ -392,7 +392,9 @@ def magnitude(spec) -> Variable:
     spec = as_variable(spec)
     f = spec.value.shape[-1] // 2
     re, im = spec.value[..., :f], spec.value[..., f:]
-    mag = np.hypot(re, im)
+    # not np.hypot, a scalar libm loop ~4x slower; re*re overflows only
+    # above ~1e154, where the filter bank's power of the same spectrum does
+    mag = np.sqrt(re * re + im * im)
     out = Variable(mag)
 
     def bwd(g):
@@ -406,7 +408,7 @@ def magnitude(spec) -> Variable:
 
 def complex_expert_map(spec, h, w, mask: np.ndarray, wp) -> Variable:
     """Gate-weighted sum of per-expert complex linear maps on band-passed
-    spectra, as one GEMM on the input side.
+    spectra, in two GEMMs or one.
 
     spec: (B, V, 2*F) packed ``[re | im]``, h: (E, B, F) real band-pass
     responses, w and mask: (B, E), wp: (E, F, 2*O) each complex weight W[e]
@@ -415,50 +417,83 @@ def complex_expert_map(spec, h, w, mask: np.ndarray, wp) -> Variable:
     Band-pass, map and mix are linear in the spectrum, so with the (B, U, F)
     coefficients c_e = w[:, e] * h[e] of the U experts that some sample
     selects, the real and the imaginary half x_s of each (b, v) spectrum
-    make one row [x_s * c_1 | ... | x_s * c_U] of a (B*V*2, U*F) operand,
-    one broadcast product.  Its product P with wp[used] as (U*F, 2*O) gives
-    y = [P_re[:O] - P_im[O:] | P_re[O:] + P_im[:O]]; no per-expert sub-band,
-    output or block matrix exists in either pass.
+    map to P = sum_u (x_s * c_u) @ wp[u], and
+    y = [P_re[:O] - P_im[O:] | P_re[O:] + P_im[:O]].  P has two
+    associations, chosen from the shapes alone:
 
-    Masking.  The coefficients of a masked (sample, expert) pair are exact
-    zeros, chosen before any product, so its response and weight, non-finite
-    too, reach nothing, and it gets exact zero gradients.  An expert that no
-    sample selects is never read and gets exact zero gradients.  An expert
-    that some samples select is read by every row of the GEMM, so only
-    *finite* weights stay per-sample inert: a sample that does not select
-    it multiplies them by an exact zero, while a NaN or inf weight reaches
-    that sample as 0 * NaN.
+    - O <= F (every block that does not lengthen the series): mix each
+      sample's maps first, M_b = sum_u c[b,u,:,None] * wp[u], a (B, F, 2*O)
+      tensor formed as F GEMMs of (B, U) by (U, 2*O), then P = x_s @ M_b,
+      one (2*V, F) by (F, 2*O) GEMM per sample: B*(U + 2*V)*F*2*O
+      multiply-adds.
+    - O > F: stack the band-passed copies, one row [x_s * c_1 | ... |
+      x_s * c_U] of a (B*V*2, U*F) operand per half spectrum, times wp[used]
+      read as (U*F, 2*O): B*2*V*U*F*2*O multiply-adds.  The mixed order
+      would do fewer, but M_b would be the larger tensor and the memory
+      traffic dominates (9 MB against 0.7 MB at B = 32, F = 49, O = 361,
+      U = 4).
+
+    Neither pass forms a per-expert sub-band, output or block matrix.
+
+    Masking, the same in both orders.  The coefficients of a masked
+    (sample, expert) pair are exact zeros, chosen before any product, so its
+    response and weight, non-finite too, reach nothing, and it gets exact
+    zero gradients.  An expert that no sample selects is never read and
+    gets exact zero gradients.  An expert that some sample selects is read
+    for every sample (by every row of the stacked GEMM, or by every M_b), so
+    only *finite* weights stay per-sample inert: a sample that does not
+    select it multiplies them by an exact zero, while a NaN or inf weight
+    reaches that sample as 0 * NaN.
     """
     spec, h, w, wp = as_variable(spec), as_variable(h), as_variable(w), as_variable(wp)
     bdim, vdim, packed = spec.value.shape
     fdim, odim = packed // 2, wp.value.shape[2] // 2
     used = mask.any(axis=0).nonzero()[0]
     udim = used.size
-    wu = wp.value[used].reshape(udim * fdim, 2 * odim)
     kept = mask[:, used]  # (B, U)
     wsel = np.where(kept, w.value[:, used], 0.0)[:, :, None]
     hsel = np.where(kept[:, :, None], h.value[used].transpose(1, 0, 2), 0.0)
     c = wsel * hsel  # (B, U, F), exact zeros on the dropped pairs
-    x = spec.value.reshape(bdim, vdim, 2, fdim)
-    lhs = (x[:, :, :, None] * c[:, None, None]).reshape(bdim * vdim * 2, udim * fdim)
-    p = (lhs @ wu).reshape(bdim, vdim, 2, 2 * odim)
+    x = spec.value.reshape(bdim, 2 * vdim, fdim)  # one row per real or imaginary half
+    wsub = wp.value[used]  # (U, F, 2*O)
+    mix_first = odim <= fdim
+    if mix_first:
+        cf = np.ascontiguousarray(c.transpose(2, 0, 1))  # (F, B, U)
+        wf = wsub.transpose(1, 0, 2)  # (F, U, 2*O)
+        m = np.matmul(cf, wf).transpose(1, 0, 2)  # (B, F, 2*O), each sample's mixed map
+        p = np.matmul(x, m)
+    else:
+        wu = wsub.reshape(udim * fdim, 2 * odim)
+        lhs = (x[:, :, None] * c[:, None]).reshape(bdim * 2 * vdim, udim * fdim)
+        p = lhs @ wu
+    p = p.reshape(bdim, vdim, 2, 2 * odim)
     out = Variable(np.empty((bdim, vdim, 2 * odim)))
     np.subtract(p[:, :, 0, :odim], p[:, :, 1, odim:], out=out.value[..., :odim])
     np.add(p[:, :, 0, odim:], p[:, :, 1, :odim], out=out.value[..., odim:])
 
     def bwd(gy):
         # cotangent of P: [g_re, g_im] on the real row, [g_im, -g_re] on the imaginary
-        gp = np.concatenate([gy, gy[..., odim:], -gy[..., :odim]], axis=-1).reshape(-1, 2 * odim)
-        glhs = (gp @ wu.T).reshape(bdim, vdim, 2, udim, fdim)
-        gspec = np.einsum("bvsuf,buf->bvsf", glhs, c).reshape(spec.value.shape)
-        gc = np.where(kept[:, :, None], np.einsum("bvsuf,bvsf->buf", glhs, x), 0.0)
+        gp = np.concatenate([gy, gy[..., odim:], -gy[..., :odim]], axis=-1)
+        gp = gp.reshape(bdim, 2 * vdim, 2 * odim)
+        if mix_first:
+            gx = np.matmul(gp, m.transpose(0, 2, 1))
+            gm = np.matmul(x.transpose(0, 2, 1), gp).transpose(1, 0, 2)  # (F, B, 2*O)
+            gc = np.matmul(gm, wf.transpose(0, 2, 1)).transpose(1, 2, 0)
+            gwsub = np.matmul(cf.transpose(0, 2, 1), gm).transpose(1, 0, 2)
+        else:
+            gp = gp.reshape(-1, 2 * odim)
+            glhs = (gp @ wu.T).reshape(bdim, 2 * vdim, udim, fdim)
+            gx = np.einsum("bsuf,buf->bsf", glhs, c)
+            gc = np.einsum("bsuf,bsf->buf", glhs, x)
+            gwsub = (lhs.T @ gp).reshape(udim, fdim, 2 * odim)
+        gc = np.where(kept[:, :, None], gc, 0.0)
         gh = np.zeros(h.value.shape)
         gh[used] = (gc * wsel).transpose(1, 0, 2)
         gw = np.zeros(w.value.shape)
         gw[:, used] = np.einsum("buf,buf->bu", gc, hsel)
         gwp = np.zeros(wp.value.shape)
-        gwp[used] = (lhs.T @ gp).reshape(udim, fdim, 2 * odim)
-        return gspec, gh, gw, gwp
+        gwp[used] = gwsub
+        return gx.reshape(spec.value.shape), gh, gw, gwp
 
     _record((spec, h, w, wp), out, bwd)
     return out

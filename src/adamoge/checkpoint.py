@@ -5,7 +5,7 @@ Layout (all integers little-endian):
     8 bytes   magic "ADAMOGE1"
     u32       fingerprint length, then that many UTF-8 bytes
     u32       entry count
-    per entry:
+    per entry (names unique):
         u32   name length, then UTF-8 name
         u32   rank, then rank * u64 dims
         dims-product * f8 little-endian values (row-major)
@@ -101,6 +101,8 @@ def load(path: str) -> tuple[str, dict[str, np.ndarray]]:
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
         name = text("parameter name")
+        if name in entries:
+            raise CheckpointError(f"{path}: duplicate entry {name!r}")
         (rank,) = unpack("<I")
         shape = unpack(f"<{rank}Q")
         raw = take(8 * math.prod(shape))

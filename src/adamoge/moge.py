@@ -8,9 +8,14 @@ gate-weighted mix of the selected experts, each a complex affine map
 shared across variables on its band-passed spectrum, and inverts the
 mixed spectrum once per (sample, variable).  Band-pass, map, mix and
 inverse transform are all linear in the spectrum, so the gate weights
-scale the bank's responses, the spectrum times those coefficients is the
-operand of one GEMM over the stacked maps of every expert some sample
-selects, and the result equals mixing the experts' time-domain forecasts.
+scale the bank's responses, the spectrum times those coefficients meets
+the maps of every expert some sample selects in one primitive, and the
+result equals mixing the experts' time-domain forecasts.  That primitive
+(``autodiff.complex_expert_map``) mixes each sample's maps first when the
+block has no more output than input bins, and otherwise applies the
+stacked maps to stacked band-passed copies; the masking below holds in
+both orders.  The block's output gain scales the gate weights it passes
+in; ``GateDecision.weights`` stays unscaled.
 
 Masking.  A (sample, expert) pair outside the selection forms no product:
 its coefficients (gate weight times response) are exact zeros, so its
@@ -215,16 +220,17 @@ class AdaMoGeBlock:
             k_hat, k = None, np.full(p.value.shape[0], self.cfg.fixed_k, np.int64)
         return select_topk(p, k), k_hat, p
 
-    def experts_forward(self, spec: Variable, h: Variable, decision: GateDecision) -> Variable:
-        """The gate's mix of the selected experts' output half spectra,
-        (B, V, 2 * out_bins), from the (B, V, 2 * bins) input spectrum, both
-        packed ``[re | im]``, and the bank's expert-major (E, B, bins)
-        responses; not yet inverted.  The band-pass, the maps and the gate
-        weights run as one GEMM on the spectrum; the biases, which do not
-        depend on the input, are mixed per sample on their own."""
-        w, mask = decision.weights, decision.mask
-        mapped = ad.complex_expert_map(spec, h, w, mask, self.ew)
-        return mapped + ad.masked_weighted_sum(self.eb, w, mask)
+    def experts_forward(self, spec: Variable, h: Variable, weights: Variable,
+                        mask: np.ndarray) -> Variable:
+        """The mix of the selected experts' output half spectra under the
+        (B, E) ``weights`` and ``mask``, (B, V, 2 * out_bins), from the
+        (B, V, 2 * bins) input spectrum, both packed ``[re | im]``, and the
+        bank's expert-major (E, B, bins) responses; not yet inverted.  The
+        band-pass, the maps and the weights run in one primitive on the
+        spectrum; the biases, which do not depend on the input, are mixed
+        per sample on their own."""
+        mapped = ad.complex_expert_map(spec, h, weights, mask, self.ew)
+        return mapped + ad.masked_weighted_sum(self.eb, weights, mask)
 
     def _ffn(self, y: Variable) -> Variable:
         b, v, t = y.value.shape
@@ -238,14 +244,16 @@ class AdaMoGeBlock:
         summary = summarize(spec)
         decision, k_hat, probs = self.gate_decision(summary.chi)
         bp = self.bank.apply(spec)
-        # the inverse transform is linear, so the gate mixes the spectra and
-        # each (B, V) row is inverted once
-        spec_mix = self.experts_forward(spec, bp.h, decision)
+        # the output gain (out_len / in_len, times the count head's
+        # straight-through 1.0) scales the (B, E) gate weights, not the mixed
+        # spectrum; the inverse transform is linear, so the gate mixes the
+        # spectra and each (B, V) row is inverted once
         gain = self.out_len / self.in_len
         if k_hat is not None:
             st = straight_through_scale(k_hat, decision.k)
-            gain = ad.reshape(st * gain, (-1, 1, 1))
-        mixed = ad.irfft_op(spec_mix * gain, self.out_len)
+            gain = ad.reshape(st * gain, (-1, 1))
+        spec_mix = self.experts_forward(spec, bp.h, decision.weights * gain, decision.mask)
+        mixed = ad.irfft_op(spec_mix, self.out_len)
         if diag is not None:
             diag.append(
                 BlockDiagnostics(

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from adamoge import checkpoint
 from adamoge.autodiff import Variable
 from adamoge.data import SeriesTable
 from adamoge.synthetic import hourly_timestamps
@@ -147,6 +148,23 @@ def constant_table(rows: int, variables: int, value: float) -> SeriesTable:
     values = np.full((rows, variables), value, dtype=np.float64)
     names = [f"c{v}" for v in range(variables)]
     return SeriesTable(hourly_timestamps(rows), values, names)
+
+
+def duplicate_last_entry(path: str) -> str:
+    """Append a second copy of the last entry of the checkpoint at ``path``
+    and raise its entry count by one; return that entry's name."""
+    fingerprint, entries = checkpoint.load(path)
+    name, arr = list(entries.items())[-1]
+    size = 4 + len(name.encode("utf-8")) + 4 + 8 * arr.ndim + arr.nbytes
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    at = len(checkpoint.MAGIC) + 4 + len(fingerprint.encode("utf-8"))
+    count = int.from_bytes(blob[at : at + 4], "little")
+    blob[at : at + 4] = (count + 1).to_bytes(4, "little")
+    blob += blob[-size:]
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return name
 
 
 def adam_poisoned_from(step: int) -> type:

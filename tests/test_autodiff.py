@@ -338,6 +338,10 @@ class TestPrimitiveAdjoints:
     # expert 0 selected by samples 0 and 1, expert 1 by samples 1 and 2,
     # expert 2 by none
     MAP_MASK = np.array([[True, False, False], [True, True, False], [False, True, False]])
+    # (F, O), odd and F != O: the map mixes each sample's maps first when
+    # O <= F and stacks the band-passed copies when O > F; every map test
+    # runs both orders
+    MAP_SHAPES = ((7, 5), (4, 6))
 
     @staticmethod
     def _mixed_map(spec, h, w, mask, wp, bias):
@@ -349,35 +353,37 @@ class TestPrimitiveAdjoints:
 
     def test_complex_expert_map_adjoint(self):
         rng = np.random.default_rng(14)
-        b, e, v, f, o = 3, 3, 2, 4, 3
         mask = self.MAP_MASK
-        params = {
-            "spec": rng.standard_normal((b, v, 2 * f)),
-            "h": rng.uniform(-1.0, 1.0, size=(e, b, f)),
-            "w": rng.uniform(0.1, 1.0, size=(b, e)),
-            "wp": rng.standard_normal((e, f, 2 * o)),
-            "bias": rng.standard_normal((e, 1, 1, 2 * o)),
-        }
+        (b, e), v = mask.shape, 2
 
         def build(s):
             y = self._mixed_map(s["spec"], s["h"], s["w"], mask, s["wp"], s["bias"])
             return ad.vsum(ad.square(y))
 
-        err = fd_check(build, params)
-        assert err < 1e-6
+        for f, o in self.MAP_SHAPES:
+            params = {
+                "spec": rng.standard_normal((b, v, 2 * f)),
+                "h": rng.uniform(-1.0, 1.0, size=(e, b, f)),
+                "w": rng.uniform(0.1, 1.0, size=(b, e)),
+                "wp": rng.standard_normal((e, f, 2 * o)),
+                "bias": rng.standard_normal((e, 1, 1, 2 * o)),
+            }
+            err = fd_check(build, params)
+            assert err < 1e-6, (f, o)
 
-    def _complex_map_case(self, rng, v=2, f=7, o=5):
+    def _complex_map_cases(self, rng, v=2):
         """Complex spectrum, real responses, complex weights and biases of an
-        expert map with odd F != O, and gate weights, on MAP_MASK's
-        (B, E) = (3, 3)."""
+        expert map, and gate weights, on MAP_MASK's (B, E) = (3, 3), for
+        each (F, O) of MAP_SHAPES."""
         b, e = self.MAP_MASK.shape
 
         def crandn(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        gate = rng.uniform(0.1, 1.0, size=(b, e))
-        h = rng.uniform(-1.0, 1.0, size=(e, b, f))
-        return crandn(b, v, f), h, crandn(e, o, f), crandn(e, o), gate
+        for f, o in self.MAP_SHAPES:
+            gate = rng.uniform(0.1, 1.0, size=(b, e))
+            h = rng.uniform(-1.0, 1.0, size=(e, b, f))
+            yield crandn(b, v, f), h, crandn(e, o, f), crandn(e, o), gate
 
     @staticmethod
     def _packed(z):
@@ -387,107 +393,107 @@ class TestPrimitiveAdjoints:
         from oracles import complex_matvec
 
         rng = np.random.default_rng(15)
-        x, h, w, bias, gate = self._complex_map_case(rng)
-        o = w.shape[1]
-        y = self._mixed_map(
-            Variable(self._packed(x)), Variable(h), Variable(gate), self.MAP_MASK,
-            *(Variable(a) for a in packed_experts(w, bias)),
-        ).value
-        for b, v in np.ndindex(x.shape[0], x.shape[1]):
-            want = sum(
-                gate[b, e] * (np.array(complex_matvec(w[e].tolist(), (h[e, b] * x[b, v]).tolist()))
-                              + bias[e])
-                for e in np.flatnonzero(self.MAP_MASK[b])
-            )
-            got = y[b, v, :o] + 1j * y[b, v, o:]
-            assert np.max(np.abs(got - want)) < 1e-10, (b, v)
+        for x, h, w, bias, gate in self._complex_map_cases(rng):
+            o = w.shape[1]
+            y = self._mixed_map(
+                Variable(self._packed(x)), Variable(h), Variable(gate), self.MAP_MASK,
+                *(Variable(a) for a in packed_experts(w, bias)),
+            ).value
+            for b, v in np.ndindex(x.shape[0], x.shape[1]):
+                want = sum(
+                    gate[b, e] * (np.array(complex_matvec(w[e].tolist(), (h[e, b] * x[b, v]).tolist()))
+                                  + bias[e])
+                    for e in np.flatnonzero(self.MAP_MASK[b])
+                )
+                got = y[b, v, :o] + 1j * y[b, v, o:]
+                assert np.max(np.abs(got - want)) < 1e-10, (b, v)
 
     def test_complex_expert_map_gradients_match_complex_reference(self):
         rng = np.random.default_rng(19)
-        x, h, w, bias, gate = self._complex_map_case(rng)
-        mask = self.MAP_MASK
-        o = w.shape[1]
-        wp, bp = packed_experts(w, bias)
-        store = make_store(spec=self._packed(x), h=h, gate=gate, wp=wp, bias=bp)
-        gy = rng.standard_normal((x.shape[0], x.shape[1], 2 * o))
-        with Tape() as tape:
-            y = self._mixed_map(*(store[n] for n in ("spec", "h", "gate")), mask,
-                                store["wp"], store["bias"])
-            tape.backward(ad.vsum(y * gy))
-        grads = expert_parts(store["wp"].grad, store["bias"].grad)
-        # the packed cotangent as one complex number per output bin
-        g = gy[..., :o] + 1j * gy[..., o:]
-        wm = gate * mask
-        sub = np.einsum("ebf,bvf->bevf", h, x)  # each expert's band-passed spectrum
-        gw = np.einsum("be,bvo,bevf->eof", wm, g, np.conj(sub))
-        gb = np.einsum("be,bvo->eo", wm, g)
-        # W_e^H g, per sample and expert
-        back = np.einsum("bvo,eof->bevf", g, np.conj(w))
-        gspec = np.einsum("be,ebf,bevf->bvf", wm, h, back)
-        # d(loss)/d(h[e,b,f]) = Re sum_v conj(x[b,v,f]) (w[b,e] W_e^H g)[f]
-        gh = np.einsum("be,bevf,bvf->ebf", wm, back, np.conj(x)).real
-        # d(loss)/d(gate[b,e]) = Re <g, W_e (h_e x) + b_e> on the mask
-        ye = np.einsum("eof,bevf->bevo", w, sub) + bias[None, :, None]
-        ggate = mask * np.einsum("bvo,bevo->be", np.conj(g), ye).real
-        for name, got, want in (
-            ("wre", grads.wre, gw.real),
-            ("wim", grads.wim, gw.imag),
-            ("bre", grads.bre, gb.real),
-            ("bim", grads.bim, gb.imag),
-            ("spec", store["spec"].grad, self._packed(gspec)),
-            ("h", store["h"].grad, gh),
-            ("gate", store["gate"].grad, ggate),
-        ):
-            assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want)), name
-        # the expert no sample selects is never read: exact zeros
-        for name, got in grads._asdict().items():
-            assert np.all(got[2] == 0.0), name
-        assert np.all(store["h"].grad[2] == 0.0)
+        for x, h, w, bias, gate in self._complex_map_cases(rng):
+            mask = self.MAP_MASK
+            o = w.shape[1]
+            wp, bp = packed_experts(w, bias)
+            store = make_store(spec=self._packed(x), h=h, gate=gate, wp=wp, bias=bp)
+            gy = rng.standard_normal((x.shape[0], x.shape[1], 2 * o))
+            with Tape() as tape:
+                y = self._mixed_map(*(store[n] for n in ("spec", "h", "gate")), mask,
+                                    store["wp"], store["bias"])
+                tape.backward(ad.vsum(y * gy))
+            grads = expert_parts(store["wp"].grad, store["bias"].grad)
+            # the packed cotangent as one complex number per output bin
+            g = gy[..., :o] + 1j * gy[..., o:]
+            wm = gate * mask
+            sub = np.einsum("ebf,bvf->bevf", h, x)  # each expert's band-passed spectrum
+            gw = np.einsum("be,bvo,bevf->eof", wm, g, np.conj(sub))
+            gb = np.einsum("be,bvo->eo", wm, g)
+            # W_e^H g, per sample and expert
+            back = np.einsum("bvo,eof->bevf", g, np.conj(w))
+            gspec = np.einsum("be,ebf,bevf->bvf", wm, h, back)
+            # d(loss)/d(h[e,b,f]) = Re sum_v conj(x[b,v,f]) (w[b,e] W_e^H g)[f]
+            gh = np.einsum("be,bevf,bvf->ebf", wm, back, np.conj(x)).real
+            # d(loss)/d(gate[b,e]) = Re <g, W_e (h_e x) + b_e> on the mask
+            ye = np.einsum("eof,bevf->bevo", w, sub) + bias[None, :, None]
+            ggate = mask * np.einsum("bvo,bevo->be", np.conj(g), ye).real
+            for name, got, want in (
+                ("wre", grads.wre, gw.real),
+                ("wim", grads.wim, gw.imag),
+                ("bre", grads.bre, gb.real),
+                ("bim", grads.bim, gb.imag),
+                ("spec", store["spec"].grad, self._packed(gspec)),
+                ("h", store["h"].grad, gh),
+                ("gate", store["gate"].grad, ggate),
+            ):
+                assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want)), name
+            # the expert no sample selects is never read: exact zeros
+            for name, got in grads._asdict().items():
+                assert np.all(got[2] == 0.0), name
+            assert np.all(store["h"].grad[2] == 0.0)
 
     @pytest.mark.parametrize("planted", [np.nan, np.inf, 3.5])
     def test_complex_expert_map_dropped_response_is_inert(self, planted):
         # sample 2 does not select expert 0: its response there reaches
         # neither the output nor any gradient, and gets an exact zero one
         rng = np.random.default_rng(22)
-        x, h, w, bias, gate = self._complex_map_case(rng)
-        mask = self.MAP_MASK
-        gy = rng.standard_normal((x.shape[0], x.shape[1], 2 * w.shape[1]))
-        wp, _ = packed_experts(w, bias)
+        for x, h, w, bias, gate in self._complex_map_cases(rng):
+            mask = self.MAP_MASK
+            gy = rng.standard_normal((x.shape[0], x.shape[1], 2 * w.shape[1]))
+            wp, _ = packed_experts(w, bias)
 
-        def run(h):
-            store = make_store(spec=self._packed(x), h=h, gate=gate, wp=wp)
-            with Tape() as tape:
-                y = ad.complex_expert_map(*(store[n] for n in ("spec", "h", "gate")), mask,
-                                          store["wp"])
-                tape.backward(ad.vsum(y * gy))
-            return y.value, {p.name: p.grad for p in store}
+            def run(h):
+                store = make_store(spec=self._packed(x), h=h, gate=gate, wp=wp)
+                with Tape() as tape:
+                    y = ad.complex_expert_map(*(store[n] for n in ("spec", "h", "gate")), mask,
+                                              store["wp"])
+                    tape.backward(ad.vsum(y * gy))
+                return y.value, {p.name: p.grad for p in store}
 
-        base, base_grads = run(h)
-        planted_h = h.copy()
-        planted_h[0, 2] = planted
-        again, grads = run(planted_h)
-        assert again.tobytes() == base.tobytes()
-        for name in ("spec", "gate", "wp"):
-            assert grads[name].tobytes() == base_grads[name].tobytes(), name
-        assert np.all(grads["h"][0, 2] == 0.0)
-        # and the expert no sample selects gets exact zeros
-        assert np.all(grads["h"][2] == 0.0)
+            base, base_grads = run(h)
+            planted_h = h.copy()
+            planted_h[0, 2] = planted
+            again, grads = run(planted_h)
+            assert again.tobytes() == base.tobytes()
+            for name in ("spec", "gate", "wp"):
+                assert grads[name].tobytes() == base_grads[name].tobytes(), name
+            assert np.all(grads["h"][0, 2] == 0.0)
+            # and the expert no sample selects gets exact zeros
+            assert np.all(grads["h"][2] == 0.0)
 
     def test_complex_expert_map_dropped_pair_gradient_stays_zero_under_nan_weight(self):
         # a NaN weight of expert 0 reaches every sample through the GEMM, but
         # the pair (sample 2, expert 0) still gets exact zero gradients
         rng = np.random.default_rng(23)
-        x, h, w, bias, gate = self._complex_map_case(rng)
-        wp, bp = packed_experts(w, bias)
-        expert_parts(wp, bp).wre[0, 1, 2] = np.nan
-        store = make_store(spec=self._packed(x), h=h, gate=gate, wp=wp)
-        with Tape() as tape:
-            y = ad.complex_expert_map(*(store[n] for n in ("spec", "h", "gate")), self.MAP_MASK,
-                                      store["wp"])
-            tape.backward(ad.vsum(y))
-        assert np.isnan(store["h"].grad[0, 0]).any()
-        assert np.all(store["h"].grad[0, 2] == 0.0)
-        assert store["gate"].grad[2, 0] == 0.0
+        for x, h, w, bias, gate in self._complex_map_cases(rng):
+            wp, bp = packed_experts(w, bias)
+            expert_parts(wp, bp).wre[0, 1, 2] = np.nan
+            store = make_store(spec=self._packed(x), h=h, gate=gate, wp=wp)
+            with Tape() as tape:
+                y = ad.complex_expert_map(*(store[n] for n in ("spec", "h", "gate")), self.MAP_MASK,
+                                          store["wp"])
+                tape.backward(ad.vsum(y))
+            assert np.isnan(store["h"].grad[0, 0]).any()
+            assert np.all(store["h"].grad[0, 2] == 0.0)
+            assert store["gate"].grad[2, 0] == 0.0
 
     @pytest.mark.parametrize("axis", [1, -2, 2, -1])
     def test_concat_adjoint_hands_each_part_its_slice(self, axis):

@@ -10,7 +10,7 @@ from adamoge import training
 from adamoge.cli import main
 from adamoge.synthetic import sinusoid_table
 
-from oracles import adam_poisoned_from, constant_table
+from oracles import adam_poisoned_from, constant_table, duplicate_last_entry
 
 
 @pytest.fixture()
@@ -300,7 +300,7 @@ class TestEval:
         err = capsys.readouterr().err
         assert "truncated" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("damage", ["trailing bytes", "directory"])
+    @pytest.mark.parametrize("damage", ["trailing bytes", "directory", "duplicate entry"])
     def test_unreadable_checkpoint_is_usage_error(self, tmp_path, base_cfg, capsys, damage):
         code, out = run_train(tmp_path, base_cfg)
         path = os.path.join(out, "checkpoint.bin")
@@ -308,6 +308,8 @@ class TestEval:
             with open(path, "ab") as fh:
                 fh.write(b"\0" * 8)
             want = "trailing bytes after last entry"
+        elif damage == "duplicate entry":
+            want = f"duplicate entry {duplicate_last_entry(path)!r}"
         else:
             os.remove(path)
             os.mkdir(path)

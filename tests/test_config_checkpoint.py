@@ -8,6 +8,8 @@ from adamoge import config as cfgmod
 from adamoge.autodiff import ParameterStore
 from adamoge.config import ConfigError, RunConfig
 
+from oracles import duplicate_last_entry
+
 
 class TestConfig:
     def test_defaults_exist_for_every_key(self):
@@ -162,6 +164,17 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(ckpt.CheckpointError):
             ckpt.load(str(path))
+
+    def test_duplicate_entry_rejected(self, tmp_path):
+        # a second "scalar" would silently replace the first in the loaded dict
+        store = self.make_store()
+        path = str(tmp_path / "m.bin")
+        ckpt.save(path, store, "fp")
+        assert duplicate_last_entry(path) == "scalar"
+        with pytest.raises(ckpt.CheckpointError, match="duplicate entry 'scalar'"):
+            ckpt.load(path)
+        with pytest.raises(ckpt.CheckpointError, match="duplicate entry 'scalar'"):
+            ckpt.load_into(path, store, "fp")
 
     def test_model_mismatch_rejected(self, tmp_path):
         store = self.make_store()

@@ -518,10 +518,20 @@ class TestParameterCount:
 
 class TestFullGradient:
     def test_full_model_grad_check(self):
-        store, model = build_model(lookback=16, horizon=8, variables=2, e_max=3, seed=5)
+        assert self._full_model_grad_error(horizon=8) < 1e-4
+
+    def test_full_model_grad_check_horizon_beyond_lookback(self):
+        # H = 24 > L = 16 has more output than input bins, where the expert
+        # map stacks the band-passed copies instead of mixing the maps first
+        assert self._full_model_grad_error(horizon=24) < 1e-4
+
+    @staticmethod
+    def _full_model_grad_error(horizon):
+        """grad_check error of a depth-1 L = 16 model off its count head."""
+        store, model = build_model(lookback=16, horizon=horizon, variables=2, e_max=3, seed=5)
         rng = np.random.default_rng(14)
         x = 0.6 * rng.standard_normal((2, 16, 2))
-        y = rng.standard_normal((2, 8, 2))
+        y = rng.standard_normal((2, horizon, 2))
         margins = decision_margins(model, x)
         assert margins["round"] >= 1e-3
         assert margins["topk"] >= 1e-3
@@ -533,8 +543,7 @@ class TestFullGradient:
 
         include = [p.name for p in store
                    if p.name not in set(khead_parameter_names(model))]
-        err = ad.grad_check(build, store, eps=1e-5, names=include)
-        assert err < 1e-4
+        return ad.grad_check(build, store, eps=1e-5, names=include)
 
     def test_depth_two_grad_check(self):
         # fixed expert count: with straight-through rounding active, every
