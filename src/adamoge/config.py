@@ -12,7 +12,6 @@ import hashlib
 import os
 from dataclasses import dataclass, field, replace
 
-from .filterbank import FILTER_FAMILIES, FILTER_MODES
 from .fourier import MAX_LENGTH
 from .moge import ModelConfig
 from .training import TrainConfig
@@ -20,15 +19,6 @@ from .training import TrainConfig
 
 class ConfigError(ValueError):
     """Bad configuration file, key, or value."""
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -68,11 +58,8 @@ _SCHEMA: dict[str, tuple[str, str, object]] = {
     "model.e_max": ("model", "e_max", int),
     "model.depth": ("model", "depth", int),
     "model.feature_dim": ("model", "feature_dim", int),
-    "model.filter.mode": ("model", "filter_mode", str),
-    "model.filter.family": ("model", "filter_family", str),
-    "model.adaptive_k": ("model", "adaptive_k", _parse_bool),
+    "model.filter": ("model", "filter", str),
     "model.fixed_k": ("model", "fixed_k", int),
-    "model.sigma0": ("model", "sigma0", float),
     "model.alpha": ("model", "alpha", float),
     "model.sigma_min": ("model", "sigma_min", float),
     "model.sigma_max": ("model", "sigma_max", float),
@@ -90,8 +77,6 @@ _SCHEMA: dict[str, tuple[str, str, object]] = {
 
 _VALID_CHOICES = {
     "data.kind": ("auto", "etth", "ettm", "ratio"),
-    "model.filter.mode": FILTER_MODES,
-    "model.filter.family": FILTER_FAMILIES,
 }
 
 
@@ -170,8 +155,6 @@ def validate(cfg: RunConfig, grid: bool = False) -> RunConfig:
 
 
 def _render_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):

@@ -4,7 +4,8 @@ Each of the E filters is a difference of two Gaussians centred at its lower
 and upper cutoff, evaluated at integer bin frequencies.  Cutoffs are stored
 through nested sigmoids so 0 < f1 < f2 < f_nyq holds for any parameter
 value, and the bandwidth is recomputed per sample from the window's mean
-spectral power scaled by 1/(centre frequency), clamped to a safe interval.
+spectral power scaled by alpha * f_nyq / (2 E) / (centre frequency), clamped
+to a safe interval.
 
 The response is evaluated around the filter centre, H(f) =
 exp(-((d+h)/s)^2/2) - exp(-((d-h)/s)^2/2) with d = f - (f1+f2)/2 and
@@ -15,8 +16,9 @@ The bank returns the responses, expert-major (E, B, F), and forms no
 sub-band: the expert map multiplies the spectrum by the gate-weighted
 responses inside its GEMM operand.
 
-A ``truncation`` family (fixed equal bands, hard 0/1 response) exists as an
-ablation baseline against the learnable Gaussian family.
+``abs-dog`` takes the magnitude of that response.  ``truncation`` (fixed
+equal bands, hard 0/1 response) is the ablation baseline against the two
+learnable Gaussian filters.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .autodiff import ParameterStore, Variable
 if TYPE_CHECKING:
     from .moge import ModelConfig
 
-FILTER_MODES = ("dog", "abs-dog")
-FILTER_FAMILIES = ("gaussian", "truncation")
+FILTERS = ("dog", "abs-dog", "truncation")
 
 
 def logit(p: np.ndarray | float) -> np.ndarray:
@@ -54,7 +55,7 @@ def _squash(t):
 class BankPass:
     """The Variables of one evaluation of the bank on a spectrum, expert-major.
 
-    For the truncation family f1/f2 are the fixed band edges and both sigmas
+    For the truncation filter f1/f2 are the fixed band edges and both sigmas
     are zero, since its response has no bandwidth.
     """
 
@@ -69,26 +70,26 @@ class FilterBank:
     """E learnable band-pass filters over the half spectrum of a window.
 
     ``cfg`` is resolved by ``ModelConfig.validate``; the bank has no defaults.
-    family="gaussian": difference-of-Gaussians with learnable cutoffs and
-    sample-adaptive bandwidth.  family="truncation": fixed equal bands with
-    a hard 0/1 response (ablation baseline); carries no parameters.
+    filter="dog" / "abs-dog": difference-of-Gaussians (or its magnitude) with
+    learnable cutoffs and sample-adaptive bandwidth.  filter="truncation":
+    fixed equal bands with a hard 0/1 response (ablation baseline); carries
+    no parameters.
     """
 
     def __init__(self, store: ParameterStore, prefix: str, bins: int, cfg: ModelConfig):
         self.e_max = cfg.e_max
         self.bins = bins
         self.f_nyq = float(bins - 1)
-        self.sigma0 = float(cfg.sigma0)
-        self.alpha = float(cfg.alpha)
+        # alpha times the base bandwidth f_nyq / (2 E)
+        self.scale = self.f_nyq / (2.0 * self.e_max) * float(cfg.alpha)
         self.sigma_min = float(cfg.sigma_min)
         self.sigma_max = float(cfg.sigma_max)
-        self.mode = cfg.filter_mode
-        self.family = cfg.filter_family
+        self.filter = cfg.filter
         self._freqs = np.arange(bins, dtype=np.float64)
         # equal tiling of [0, f_nyq]: the initial Gaussian cutoffs and the
         # fixed truncation bands
         self._edges = np.linspace(0.0, self.f_nyq, self.e_max + 1)
-        if self.family == "gaussian":
+        if self.filter != "truncation":
             lo = self._edges[:-1].copy()
             lo[0] = self.f_nyq * 1e-4  # the first lower cutoff sits just above 0
             hi = self._edges[1:]
@@ -106,8 +107,8 @@ class FilterBank:
 
     def cutoffs(self) -> tuple[Variable, Variable]:
         """(f1, f2) as (E,) variables with 0 < f1 < f2 < f_nyq; the fixed band
-        edges for the truncation family."""
-        if self.family == "truncation":
+        edges for the truncation filter."""
+        if self.filter == "truncation":
             return Variable(self._edges[:-1]), Variable(self._edges[1:])
         f1 = _squash(self.a) * self.f_nyq
         f2 = f1 + (self.f_nyq - f1) * _squash(self.b)
@@ -117,14 +118,14 @@ class FilterBank:
         """Cutoffs, per-sample bandwidths and responses from one cutoffs() call
         on a (B, V, 2F) spectrum packed ``[re | im]``, expert-major: (E, B, ...).
 
-        sigma = clamp(sigma0 * alpha * mean|X|^2 / centre), the mean taken over
-        every bin of every variable of a sample.
+        sigma = clamp(scale * mean|X|^2 / centre), the mean taken over every
+        bin of every variable of a sample.
         """
         b, v, packed = spec.value.shape
         if packed != 2 * self.bins:
             raise ValueError(f"spectrum has {packed // 2} bins, bank expects {self.bins}")
         f1, f2 = self.cutoffs()
-        if self.family == "truncation":
+        if self.filter == "truncation":
             zeros = Variable(np.zeros((self.e_max, b)))
             h = Variable(np.broadcast_to(self._masks[:, None], (self.e_max, b, self.bins)).copy())
             return BankPass(f1, f2, zeros, zeros, h)
@@ -132,7 +133,7 @@ class FilterBank:
         # |X|^2 per bin (re^2 + im^2) before the mean over (V, F)
         power = ad.vsum(ad.reshape(ad.square(spec), (b, v, 2, self.bins)), axis=2)
         mp = ad.reshape(ad.vmean(power, axis=(1, 2)), (1, -1))
-        raw = mp * (self.sigma0 * self.alpha) / ad.reshape(center, (-1, 1))
+        raw = mp * self.scale / ad.reshape(center, (-1, 1))
         sigma = ad.clamp(raw, self.sigma_min, self.sigma_max)
         half = ad.reshape((f2 - f1) * 0.5, (-1, 1, 1))
         d = Variable(self._freqs.reshape(1, 1, -1)) - ad.reshape(center, (-1, 1, 1))
@@ -140,6 +141,6 @@ class FilterBank:
         lo = (d + half) / s
         hi = (d - half) / s
         h = ad.exp(ad.square(lo) * -0.5) - ad.exp(ad.square(hi) * -0.5)
-        if self.mode == "abs-dog":
+        if self.filter == "abs-dog":
             h = ad.absval(h)
         return BankPass(f1, f2, raw, sigma, h)

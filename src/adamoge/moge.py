@@ -2,12 +2,12 @@
 
 Per input window the layer (a) summarises the spectrum into gate features,
 (b) predicts how many experts to activate (a sigmoid-bounded count head with
-straight-through rounding), (c) scores all experts with a softmax gating
-network and keeps the top K with renormalised weights, and (d) forms the
-gate-weighted mix of the selected experts, each a complex affine map
-shared across variables on its band-passed spectrum, and inverts the
-mixed spectrum once per (sample, variable).  Band-pass, map, mix and
-inverse transform are all linear in the spectrum, so the gate weights
+straight-through rounding, absent when ``fixed_k`` sets K), (c) scores all
+experts with a softmax gating network and keeps the top K with renormalised
+weights, and (d) forms the gate-weighted mix of the selected experts, each a
+complex affine map shared across variables on its band-passed spectrum, and
+inverts the mixed spectrum once per (sample, variable).  Band-pass, map, mix
+and inverse transform are all linear in the spectrum, so the gate weights
 scale the bank's responses, the spectrum times those coefficients meets
 the maps of every expert some sample selects in one primitive, and the
 result equals mixing the experts' time-domain forecasts.  That primitive
@@ -49,7 +49,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, ParameterStore, Variable
-from .filterbank import FILTER_FAMILIES, FILTER_MODES, FilterBank
+from .filterbank import FILTERS, FilterBank
 from .fourier import half_bins
 from .spectral import spectrum_of, summarize
 
@@ -58,24 +58,22 @@ from .spectral import spectrum_of, summarize
 class ModelConfig:
     """Architecture knobs (a subset of the run config's model section).
     ``validate`` is the one place that checks them and resolves the 0 = auto
-    values; the model, its blocks and their filter banks read its copy."""
+    value of ``sigma_max``; the model, its blocks and their filter banks read
+    its copy."""
 
     e_max: int = 7
     depth: int = 1
     feature_dim: int = 16
-    filter_mode: str = "dog"
-    filter_family: str = "gaussian"
-    adaptive_k: bool = True
-    fixed_k: int = 0  # 0 -> (e_max + 1) // 2
-    sigma0: float = 0.0  # 0 -> f_nyq / (2 e_max)
-    alpha: float = 1.0
+    filter: str = "dog"  # dog | abs-dog | truncation
+    fixed_k: int = 0  # 0 -> the count head picks K per window
+    alpha: float = 1.0  # bandwidth scale, times f_nyq / (2 e_max)
     sigma_min: float = 0.5
     sigma_max: float = 0.0  # 0 -> f_nyq / 2
 
     def validate(self, lookback: int) -> ModelConfig:
         """Raise ValueError naming the first ``model.*`` key that no model
         over a ``lookback``-step window can use; otherwise return a copy with
-        the auto values filled in, where f_nyq = lookback // 2."""
+        sigma_max's auto value, (lookback // 2) / 2, filled in."""
         for name in ("e_max", "depth", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"model.{name} must be >= 1, got {getattr(self, name)}")
@@ -84,31 +82,22 @@ class ModelConfig:
         if self.e_max > bins:
             raise ValueError(f"model.e_max {self.e_max} exceeds the {bins} frequency bins "
                              f"of a {lookback}-step window")
-        for name, choices in (("mode", FILTER_MODES), ("family", FILTER_FAMILIES)):
-            value = getattr(self, f"filter_{name}")
-            if value not in choices:
-                raise ValueError(f"model.filter.{name} must be one of {choices}, got {value!r}")
+        if self.filter not in FILTERS:
+            raise ValueError(f"model.filter must be one of {FILTERS}, got {self.filter!r}")
+        if self.fixed_k not in range(self.e_max + 1):  # a fraction, inf and NaN fail too
+            raise ValueError(f"model.fixed_k {self.fixed_k} is not an integer in [0, "
+                             f"model.e_max = {self.e_max}] (0 = the count head picks K)")
         # sigma must stay positive and finite, and alpha must let it adapt
         for name in ("sigma_min", "alpha"):
             if not 0.0 < getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"model.{name} must be finite and > 0, got {getattr(self, name)}")
-        for name in ("sigma0", "sigma_max", "fixed_k"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(
-                    f"model.{name} must be finite and >= 0 (0 = auto), got {getattr(self, name)}"
-                )
-        f_nyq = float(lookback // 2)
-        cfg = replace(
-            self,
-            sigma0=self.sigma0 or f_nyq / (2.0 * self.e_max),
-            sigma_max=self.sigma_max or f_nyq / 2.0,
-            fixed_k=self.fixed_k or (self.e_max + 1) // 2,
-        )
+        if not 0.0 <= self.sigma_max < np.inf:
+            raise ValueError(f"model.sigma_max must be finite and >= 0 (0 = auto), "
+                             f"got {self.sigma_max}")
+        cfg = replace(self, sigma_max=self.sigma_max or float(lookback // 2) / 2.0)
         if cfg.sigma_max < cfg.sigma_min:
             raise ValueError(f"model.sigma_max {cfg.sigma_max} is below model.sigma_min "
                              f"{cfg.sigma_min} (sigma_max 0 means (lookback // 2) / 2)")
-        if not cfg.adaptive_k and not 1 <= cfg.fixed_k <= cfg.e_max:
-            raise ValueError(f"model.fixed_k {cfg.fixed_k} outside [1, model.e_max = {cfg.e_max}]")
         return cfg
 
 
@@ -194,7 +183,7 @@ class AdaMoGeBlock:
             bound = 1.0 / np.sqrt(fan_in)
             return rng.uniform(-bound, bound, size=shape)
 
-        if cfg.adaptive_k:
+        if not cfg.fixed_k:
             self.w1 = store.add(f"{prefix}.gate.w1", uniform((hid, feat), feat))
             self.b1 = store.add(f"{prefix}.gate.b1", np.zeros(hid))
             self.w2 = store.add(f"{prefix}.gate.w2", uniform((1, hid), hid))
@@ -214,10 +203,10 @@ class AdaMoGeBlock:
 
     def gate_decision(self, chi: Variable) -> tuple[GateDecision, Variable | None, Variable]:
         p = gate_probabilities(chi, self.wg, self.bg)
-        if self.cfg.adaptive_k:
-            k_hat, k = predict_expert_count(chi, self.w1, self.b1, self.w2, self.b2, self.cfg.e_max)
-        else:
+        if self.cfg.fixed_k:
             k_hat, k = None, np.full(p.value.shape[0], self.cfg.fixed_k, np.int64)
+        else:
+            k_hat, k = predict_expert_count(chi, self.w1, self.b1, self.w2, self.b2, self.cfg.e_max)
         return select_topk(p, k), k_hat, p
 
     def experts_forward(self, spec: Variable, h: Variable, weights: Variable,

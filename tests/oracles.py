@@ -207,7 +207,7 @@ def decision_margins(model, windows: np.ndarray) -> dict[str, float]:
     k_hat and the nearest rounding threshold), ``topk`` (gap between the
     lowest kept and highest dropped probability; inf when all experts are
     kept) and ``sigma`` (gap between the adaptive bandwidth and its clamp
-    bounds; inf for the truncation family).
+    bounds; inf for the truncation filter).
     """
     diag = []
     model.forward(Variable(windows), diag)
@@ -220,7 +220,7 @@ def decision_margins(model, windows: np.ndarray) -> dict[str, float]:
         for row, kk in enumerate(d.decision.k):
             if kk < p_sorted.shape[1]:
                 topk_m = min(topk_m, float(p_sorted[row, kk - 1] - p_sorted[row, kk]))
-        if block.bank.family == "gaussian":
+        if block.bank.filter != "truncation":
             # distance of the raw bandwidth from either clamp edge: a value
             # deep inside the clamp's flat region is as smooth as an interior
             # one, only near-crossings are fragile

@@ -142,7 +142,9 @@ def test_criterion_4_filter_properties():
         e_max = int(rng.integers(2, 6))
         bins = int(rng.integers(17, 50))
         store = ParameterStore()
-        cfg = ModelConfig(e_max=e_max, sigma0=float(rng.uniform(0.5, 3.0)))
+        # a bandwidth scale, alpha * f_nyq / (2 e_max), of 0.5 .. 3
+        scale = float(rng.uniform(0.5, 3.0))
+        cfg = ModelConfig(e_max=e_max, alpha=scale / ((bins - 1) / (2.0 * e_max)))
         bank = fb.FilterBank(store, "bank", bins, cfg.validate(2 * (bins - 1)))
         store["bank.a"].value[...] = rng.uniform(-4.0, 4.0, size=e_max)
         store["bank.b"].value[...] = rng.uniform(-4.0, 4.0, size=e_max)
@@ -266,8 +268,8 @@ def _train_etth1(horizon: int, seed: int, overrides: dict) -> float:
 def test_criterion_6_ablation_direction():
     variants = {
         "full": {},
-        "gaussian_only": {"adaptive_k": False},
-        "truncation_fixed_k": {"adaptive_k": False, "filter_family": "truncation"},
+        "gaussian_only": {"fixed_k": 4},
+        "truncation_fixed_k": {"fixed_k": 4, "filter": "truncation"},
     }
     means = {}
     for name, overrides in variants.items():

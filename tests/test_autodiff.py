@@ -141,9 +141,9 @@ class TestGradientRule:
     @pytest.mark.parametrize("cfg_kw", [
         {},
         {"depth": 3},
-        {"filter_family": "truncation"},
-        {"filter_mode": "abs-dog"},
-        {"adaptive_k": False, "fixed_k": 2},
+        {"filter": "truncation"},
+        {"filter": "abs-dog"},
+        {"fixed_k": 2},
     ], ids=["default", "depth3", "truncation", "abs-dog", "fixed-k"])
     def test_adjoints_never_write_into_their_cotangent(self, cfg_kw):
         store, model, x, y = small_model(**cfg_kw)

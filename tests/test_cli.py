@@ -70,17 +70,23 @@ BAD_VALUES = [
     (["--override", "model.e_max=18"], "model.e_max"),  # 17 bins at lookback 32
     (["--override", "model.depth=0"], "model.depth"),
     (["--override", "model.feature_dim=0"], "model.feature_dim"),
-    (["--override", "model.fixed_k=9", "--override", "model.adaptive_k=false"],
-     "model.fixed_k"),
+    (["--override", "model.fixed_k=9"], "model.fixed_k"),
     (["--override", "model.fixed_k=-3"], "model.fixed_k"),
     (["--override", "data.lookback=1"], "data.lookback"),
     (["--override", "data.horizon=0"], "data.horizon"),
     (["--override", "data.lookback=2048"], "data.lookback"),
     (["--override", "train.grid.depth=", "--grid"], "train.grid.depth"),
-    (["--override", "model.adaptive_k=false", "--override", "model.fixed_k=3",
-      "--override", "train.grid.e_max=2,3", "--grid"], "model.fixed_k"),
+    (["--override", "model.fixed_k=3", "--override", "train.grid.e_max=2,3", "--grid"],
+     "model.fixed_k"),
     (["--seed", "-1"], "train.seed"),
     (["--override", "train.base_lr=nan"], "train.base_lr"),
+    (["--override", "model.filter=boxcar"], "model.filter"),
+    # keys removed when each model choice got one key: fixed_k replaced
+    # adaptive_k, filter replaced filter.mode and filter.family, alpha
+    # absorbed sigma0
+    (["--override", "model.adaptive_k=false"], "model.adaptive_k"),
+    (["--override", "model.filter.mode=abs-dog"], "model.filter.mode"),
+    (["--override", "model.filter.family=truncation"], "model.filter.family"),
     (["--override", "model.sigma0=inf"], "model.sigma0"),
     (["--override", "model.sigma0=-1"], "model.sigma0"),
     (["--override", "model.sigma_min=0"], "model.sigma_min"),
@@ -207,6 +213,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_every_model_choice_trains_another_model(self, tmp_path, base_cfg):
+        # each value of a model.* key selects a distinct model: none of these
+        # overrides may train the default model's parameters.  On this series
+        # the default alpha already puts sigma at the sigma_max clamp for two
+        # of the three experts, and the third is never routed, so a larger
+        # alpha trains the same parameters; a smaller one moves sigma inside
+        from adamoge import checkpoint as ckpt
+
+        def params(out_dir, *extra):
+            out = str(tmp_path / out_dir)
+            assert main(["train", "--config", base_cfg, "--out", out,
+                         "--override", "train.epochs=1", *extra]) == 0
+            return ckpt.load(os.path.join(out, "checkpoint.bin"))[1]
+
+        default = params("default")
+        for i, override in enumerate(["model.fixed_k=2", "model.filter=abs-dog",
+                                      "model.filter=truncation", "model.alpha=0.5"]):
+            other = params(f"variant{i}", "--override", override)
+            assert other.keys() != default.keys() or any(
+                not np.array_equal(other[name], default[name]) for name in default
+            ), override
 
     def test_non_utf8_config_exits_1_naming_file(self, tmp_path, base_cfg, capsys):
         path = tmp_path / "latin1.cfg"

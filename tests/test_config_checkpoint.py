@@ -22,13 +22,13 @@ class TestConfig:
         cfg = RunConfig()
         cfg.model.e_max = 9
         cfg.train.base_lr = 5e-4
-        cfg.model.adaptive_k = False
+        cfg.model.fixed_k = 2
         path = tmp_path / "a.cfg"
         path.write_text(cfgmod.render(cfg))
         back = cfgmod.parse_file(str(path))
         assert back.model.e_max == 9
         assert back.train.base_lr == 5e-4
-        assert back.model.adaptive_k is False
+        assert back.model.fixed_k == 2
         assert cfgmod.fingerprint(back) == cfgmod.fingerprint(cfg)
 
     def test_unknown_key_named(self, tmp_path):
@@ -46,8 +46,10 @@ class TestConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="model.e_max"):
             cfgmod.apply_overrides(RunConfig(), ["model.e_max=seven"])
-        with pytest.raises(ConfigError, match="filter.mode"):
-            cfgmod.apply_overrides(RunConfig(), ["model.filter.mode=boxcar"])
+        # a model choice is checked once, by ModelConfig.validate
+        boxcar = cfgmod.apply_overrides(RunConfig(), ["model.filter=boxcar"])
+        with pytest.raises(ConfigError, match="model.filter"):
+            cfgmod.validate(boxcar)
         with pytest.raises(ConfigError, match="key=value"):
             cfgmod.apply_overrides(RunConfig(), ["model.e_max"])
 

@@ -12,9 +12,9 @@ from adamoge.spectral import spectrum_of
 from oracles import dog_response, passbands, sub_bands
 
 
-def make_bank(e_max=3, bins=9, mode="dog", family="gaussian", **kw):
+def make_bank(e_max=3, bins=9, filter="dog", **kw):
     store = ParameterStore()
-    cfg = ModelConfig(e_max=e_max, filter_mode=mode, filter_family=family, **kw)
+    cfg = ModelConfig(e_max=e_max, filter=filter, **kw)
     bank = fb.FilterBank(store, "bank", bins, cfg.validate(2 * (bins - 1)))
     return store, bank
 
@@ -71,22 +71,24 @@ def packed_spectrum(re, im):
 
 class TestAdaptiveSigma:
     def test_direct_substitution(self):
-        # |X|^2 = 1 in every bin: sigma = sigma0 * alpha * 1 / centre
-        _, bank = make_bank(e_max=3, bins=9, sigma0=1.0, alpha=1.0, sigma_min=0.01,
+        # |X|^2 = 1 in every bin: sigma = alpha * f_nyq / (2 e_max) * 1 / centre,
+        # and alpha = 0.75 makes that scale 0.75 * 8 / 6 = 1
+        _, bank = make_bank(e_max=3, bins=9, alpha=0.75, sigma_min=0.01,
                             sigma_max=100.0)
         s = bank.apply(packed_spectrum(np.ones((1, 2, 9)), np.zeros((1, 2, 9)))).sigma.value.T
         center = passbands(bank).mean(axis=1)
         assert np.allclose(s, 1.0 / center[None, :])
 
     def test_zero_spectrum_clamps_to_min(self):
-        _, bank = make_bank(e_max=3, bins=9, sigma0=1.0, alpha=1.0, sigma_min=0.5,
+        _, bank = make_bank(e_max=3, bins=9, alpha=0.75, sigma_min=0.5,
                             sigma_max=24.0)
         s = bank.apply(packed_spectrum(np.zeros((2, 2, 9)), np.zeros((2, 2, 9)))).sigma.value
         assert np.all(s == 0.5)
 
     def test_inverse_proportional_to_center(self):
-        # mean |X|^2 = 3: sigma * centre is the same for every filter
-        _, bank = make_bank(e_max=4, bins=9, sigma0=1.0, alpha=1.0, sigma_min=1e-9,
+        # mean |X|^2 = 3: sigma * centre is the same for every filter (the
+        # scale alpha * f_nyq / (2 e_max) is 1 * 8 / 8 = 1)
+        _, bank = make_bank(e_max=4, bins=9, alpha=1.0, sigma_min=1e-9,
                             sigma_max=1e9)
         re = np.full((1, 2, 9), np.sqrt(3.0))
         s = bank.apply(packed_spectrum(re, np.zeros_like(re))).sigma.value[:, 0]
@@ -137,13 +139,13 @@ class TestInit:
         with pytest.raises(ValueError):
             ModelConfig(e_max=0).validate(2 * (9 - 1))
         with pytest.raises(ValueError):
-            ModelConfig(e_max=2, filter_mode="boxcar").validate(2 * (9 - 1))
+            ModelConfig(e_max=2, filter="boxcar").validate(2 * (9 - 1))
 
 
 class TestApply:
     def test_allpass_stub_is_identity(self):
         rng = np.random.default_rng(4)
-        _, bank = make_bank(e_max=1, bins=9, family="truncation")
+        _, bank = make_bank(e_max=1, bins=9, filter="truncation")
         spec = random_spectrum(rng)
         sub = sub_bands(spec.value, bank.apply(spec).h.value)
         assert np.array_equal(sub[0, :, :, :9], spec.value[..., :9])
@@ -151,7 +153,7 @@ class TestApply:
 
     def test_zero_stub_is_zero(self):
         rng = np.random.default_rng(5)
-        _, bank = make_bank(e_max=2, bins=9, family="truncation")
+        _, bank = make_bank(e_max=2, bins=9, filter="truncation")
         bank._masks[...] = 0.0
         spec = random_spectrum(rng)
         sub = sub_bands(spec.value, bank.apply(spec).h.value)
@@ -167,10 +169,10 @@ class TestApply:
             assert abs(sub[0, 0, 0, f] - spec.value[0, 0, f] * h[0, 0, f]) < 1e-12
             assert abs(sub[0, 0, 0, 9 + f] - spec.value[0, 0, 9 + f] * h[0, 0, f]) < 1e-12
 
-    @pytest.mark.parametrize("family", ["gaussian", "truncation"])
-    def test_every_expert_and_sample_is_spectrum_times_response(self, family):
+    @pytest.mark.parametrize("filter", ["dog", "truncation"], ids=["gaussian", "truncation"])
+    def test_every_expert_and_sample_is_spectrum_times_response(self, filter):
         rng = np.random.default_rng(12)
-        _, bank = make_bank(e_max=3, bins=9, family=family)
+        _, bank = make_bank(e_max=3, bins=9, filter=filter)
         spec = random_spectrum(rng, b=2)
         h = bank.apply(spec).h.value
         sub = sub_bands(spec.value, h)
@@ -202,7 +204,7 @@ class TestApply:
     def test_abs_mode_is_magnitude_of_dog(self):
         rng = np.random.default_rng(9)
         store, bank = make_bank(e_max=3, bins=9)
-        store2, bank2 = make_bank(e_max=3, bins=9, mode="abs-dog")
+        store2, bank2 = make_bank(e_max=3, bins=9, filter="abs-dog")
         spec = random_spectrum(rng)
         h1 = bank.apply(spec).h.value
         h2 = bank2.apply(spec).h.value

@@ -81,7 +81,7 @@ def reference_forward(store, model, x):
             f1 = squash(a[e]) * fnyq
             f2 = f1 + (fnyq - f1) * squash(bb[e])
             center = (f1 + f2) / 2.0
-            sigma = min(max(block.bank.sigma0 * block.bank.alpha * mp / center, block.bank.sigma_min), block.bank.sigma_max)
+            sigma = min(max(block.bank.scale * mp / center, block.bank.sigma_min), block.bank.sigma_max)
             h = [math.exp(-0.5 * ((f - center + (f2 - f1) / 2.0) / sigma) ** 2)
                  - math.exp(-0.5 * ((f - center - (f2 - f1) / 2.0) / sigma) ** 2)
                  for f in range(F)]
@@ -210,7 +210,7 @@ class TestExpertForward:
     def test_identity_spectral_map_reproduces_window(self):
         # H = L, all-pass band, W = identity: expert output == input window
         store, model = build_model(lookback=16, horizon=16, e_max=1,
-                                   filter_family="truncation", adaptive_k=False, fixed_k=1)
+                                   filter="truncation", fixed_k=1)
         f = 9
         experts_of(store).wre[...] = np.eye(f)[None]
         experts_of(store).wim[...] = 0.0
@@ -224,7 +224,7 @@ class TestExpertForward:
         from oracles import complex_matvec
 
         store, model = build_model(lookback=8, horizon=4, variables=1, e_max=1,
-                                   filter_family="truncation", adaptive_k=False, fixed_k=1)
+                                   filter="truncation", fixed_k=1)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((1, 8, 1))
         for leaf in ("w1", "w2", "b1", "b2"):
@@ -262,7 +262,7 @@ class TestForward:
         assert np.max(np.abs(got - want)) < 1e-8
 
     def test_uniform_full_selection_is_mean_of_experts(self):
-        store, model = build_model(e_max=3, adaptive_k=False, fixed_k=3)
+        store, model = build_model(e_max=3, fixed_k=3)
         store["b0.gate.wg"].value[...] = 0.0
         for leaf in ("w1", "w2", "b1", "b2"):
             store[f"b0.ffn.{leaf}"].value[...] = 0.0
@@ -371,17 +371,17 @@ class TestForward:
     # at lookback 96 the auto sigma_max is 24
     @pytest.mark.parametrize("kw, key", [
         ({"sigma_max": -1.0}, "model.sigma_max"),
-        ({"sigma0": -3.0}, "model.sigma0"),
+        ({"fixed_k": 8}, "model.fixed_k"),
         ({"alpha": 0.0}, "model.alpha"),
         ({"alpha": -1.0}, "model.alpha"),
         ({"sigma_min": 0.0}, "model.sigma_min"),
         ({"sigma_min": 30.0}, "model.sigma_min"),
         ({"feature_dim": 0}, "model.feature_dim"),
         ({"depth": 0}, "model.depth"),
-        ({"filter_mode": "boxcar"}, "model.filter.mode"),
-        ({"filter_family": "box"}, "model.filter.family"),
+        ({"filter": "boxcar"}, "model.filter"),
+        ({"filter": "gaussian"}, "model.filter"),
         ({"fixed_k": -3}, "model.fixed_k"),
-        ({"sigma0": np.inf}, "model.sigma0"),
+        ({"fixed_k": 0.5}, "model.fixed_k"),
         ({"alpha": np.inf}, "model.alpha"),
         ({"sigma_max": np.inf}, "model.sigma_max"),
         ({"sigma_min": np.inf}, "model.sigma_min"),
@@ -403,17 +403,17 @@ def separate_bank_evaluation(bank, spec):
     the numpy filter formulas, in the arithmetic order of the forward."""
     bands = passbands(bank)
     batch = spec.value.shape[0]
-    if bank.family == "truncation":
+    if bank.filter == "truncation":
         zeros = np.zeros((batch, bank.e_max))
         return bands, zeros, zeros, np.broadcast_to(bank._masks, (batch,) + bank._masks.shape)
     re, im = spec.value[..., :bank.bins], spec.value[..., bank.bins:]
     mp = (re * re + im * im).sum(axis=(1, 2)) * (1.0 / (re.shape[1] * re.shape[2]))
     center = (bands[:, 0] + bands[:, 1]) * 0.5
-    raw = mp[:, None] * (bank.sigma0 * bank.alpha) / center[None, :]
+    raw = mp[:, None] * bank.scale / center[None, :]
     sigma = np.clip(raw, bank.sigma_min, bank.sigma_max)
     h = np.stack([dog_response(bands[:, 0], bands[:, 1], sig, np.arange(float(bank.bins)))
                   for sig in sigma])
-    if bank.mode == "abs-dog":
+    if bank.filter == "abs-dog":
         h = np.abs(h)
     return bands, raw, sigma, h
 
@@ -421,8 +421,8 @@ def separate_bank_evaluation(bank, spec):
 class TestDiagnostics:
     @pytest.mark.parametrize("depth", [1, 3])
     @pytest.mark.parametrize("with_diag", [False, True])
-    @pytest.mark.parametrize("kw", [{}, {"filter_mode": "abs-dog"},
-                                    {"filter_family": "truncation", "adaptive_k": False}])
+    @pytest.mark.parametrize("kw", [{}, {"filter": "abs-dog"},
+                                    {"filter": "truncation", "fixed_k": 2}])
     def test_one_cutoffs_call_per_block_and_fields_match(self, monkeypatch, depth, with_diag, kw):
         store, model = build_model(lookback=16, horizon=8, depth=depth, e_max=4, **kw)
         x = np.random.default_rng(30).standard_normal((3, 16, 2))
@@ -552,7 +552,7 @@ class TestFullGradient:
         # the residual-stack adjoints are verified on the fixed-K gate
         store, model = build_model(lookback=12, horizon=6, variables=2, e_max=2,
                                    depth=2, feature_dim=8, seed=11,
-                                   adaptive_k=False, fixed_k=1)
+                                   fixed_k=1)
         rng = np.random.default_rng(20)
         x = 0.5 * rng.standard_normal((2, 12, 2))
         margins = decision_margins(model, x)

@@ -305,7 +305,7 @@ class TestGrid:
         def build(combo):
             return tiny_model(
                 ds, seed=6, e_max=combo["e_max"],
-                filter_family="truncation", adaptive_k=False, fixed_k=1,
+                filter="truncation", fixed_k=1,
             )
 
         gr = grid_search(ds, tc, grid_combinations(tc), build)
