@@ -567,11 +567,6 @@ def masked_weighted_sum(y, w, mask: np.ndarray) -> Variable:
     return out
 
 
-def detached(a: Variable) -> Variable:
-    """A constant copy of ``a``'s value (no gradient path)."""
-    return Variable(a.value.copy())
-
-
 # --- finite-difference oracle ---------------------------------------------------
 
 

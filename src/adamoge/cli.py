@@ -264,13 +264,12 @@ def _write_inspection(out_dir: str, diag: list[BlockDiagnostics], names) -> None
                 )
     with ckpt.atomic_open(os.path.join(out_dir, "gate.csv")) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["block", "k_hat", "k", "expert", "probability", "selected", "weight"])
+        writer.writerow(["block", "k", "expert", "share", "probability", "selected", "weight"])
         for bi, d in enumerate(diag):
-            khat = "" if d.k_hat is None else repr(float(d.k_hat[0]))
             selected = set(d.decision.indices(0).tolist())
             for e in range(d.probabilities.shape[1]):
                 writer.writerow([
-                    bi, khat, int(d.decision.k[0]), e,
+                    bi, int(d.decision.k[0]), e, repr(float(d.shares[0, e])),
                     repr(float(d.probabilities[0, e])), int(e in selected),
                     repr(float(d.decision.weights.value[0, e])),
                 ])
@@ -288,8 +287,7 @@ def cmd_inspect_spectrum(args) -> int:
     model.forward(Variable(window[None]), diag)
     for d in diag:
         _require_finite("spectrum inspection", d.mu, d.e, d.passbands, d.sigmas, d.responses,
-                        d.probabilities, d.decision.weights.value,
-                        [] if d.k_hat is None else d.k_hat)
+                        d.probabilities, d.decision.weights.value, d.shares)
     out_dir = _make_out_dir(cfg)
     _write_inspection(out_dir, diag, ds.names)
     for bi, d in enumerate(diag):

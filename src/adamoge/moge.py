@@ -1,21 +1,20 @@
 """Adaptive mixture of band-limited experts.
 
-Per input window the layer (a) summarises the spectrum into gate features,
-(b) predicts how many experts to activate (a sigmoid-bounded count head with
-straight-through rounding, absent when ``fixed_k`` sets K), (c) scores all
-experts with a softmax gating network and keeps the top K with renormalised
-weights, and (d) forms the gate-weighted mix of the selected experts, each a
-complex affine map shared across variables on its band-passed spectrum, and
-inverts the mixed spectrum once per (sample, variable).  Band-pass, map, mix
-and inverse transform are all linear in the spectrum, so the gate weights
-scale the bank's responses, the spectrum times those coefficients meets
-the maps of every expert some sample selects in one primitive, and the
-result equals mixing the experts' time-domain forecasts.  That primitive
-(``autodiff.complex_expert_map``) mixes each sample's maps first when the
-block has no more output than input bins, and otherwise applies the
-stacked maps to stacked band-passed copies; the masking below holds in
-both orders.  The block's output gain scales the gate weights it passes
-in; ``GateDecision.weights`` stays unscaled.
+Per input window the layer (a) summarises the spectrum into gate features
+and evaluates the filter bank, (b) activates the fewest experts whose
+responses hold ``COVERAGE`` of the spectral energy (or ``fixed_k``), (c)
+keeps the top K of a softmax gate with renormalised weights, and (d) mixes
+the selected experts, each a complex affine map shared across variables on
+its band-passed spectrum, and inverts the mix once per (sample, variable).
+Band-pass, map, mix and inverse transform are all linear in the spectrum,
+so the gate weights scale the bank's responses, the spectrum times those
+coefficients meets the maps of every expert some sample selects in one
+primitive, and the result equals mixing the experts' time-domain
+forecasts.  That primitive (``autodiff.complex_expert_map``) mixes each
+sample's maps first when the block has no more output than input bins, and
+otherwise applies the stacked maps to stacked band-passed copies; the
+masking below holds in both orders.  The block's output gain scales the
+gate weights it passes in; ``GateDecision.weights`` stays unscaled.
 
 Masking.  A (sample, expert) pair outside the selection forms no product:
 its coefficients (gate weight times response) are exact zeros, so its
@@ -48,10 +47,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, ParameterStore, Variable
+from .autodiff import ParameterStore, Variable
 from .filterbank import FILTERS, FilterBank
 from .fourier import half_bins
 from .spectral import spectrum_of, summarize
+
+# the band-energy share that K experts must cover: on synthetic.regime_table
+# 0.9 keeps 1 < K < E on every window at the test MSE of a fixed K = E
+COVERAGE = 0.9
 
 
 @dataclass
@@ -65,7 +68,7 @@ class ModelConfig:
     depth: int = 1
     feature_dim: int = 16
     filter: str = "dog"  # dog | abs-dog | truncation
-    fixed_k: int = 0  # 0 -> the count head picks K per window
+    fixed_k: int = 0  # 0 -> band-energy coverage picks K per window
     alpha: float = 1.0  # bandwidth scale, times f_nyq / (2 e_max)
     sigma_min: float = 0.5
     sigma_max: float = 0.0  # 0 -> f_nyq / 2
@@ -86,7 +89,7 @@ class ModelConfig:
             raise ValueError(f"model.filter must be one of {FILTERS}, got {self.filter!r}")
         if self.fixed_k not in range(self.e_max + 1):  # a fraction, inf and NaN fail too
             raise ValueError(f"model.fixed_k {self.fixed_k} is not an integer in [0, "
-                             f"model.e_max = {self.e_max}] (0 = the count head picks K)")
+                             f"model.e_max = {self.e_max}] (0 = band-energy coverage picks K)")
         # sigma must stay positive and finite, and alpha must let it adapt
         for name in ("sigma_min", "alpha"):
             if not 0.0 < getattr(self, name) < np.inf:  # NaN fails too
@@ -113,20 +116,22 @@ class GateDecision:
         return np.flatnonzero(self.mask[b])
 
 
-def predict_expert_count(
-    chi: Variable, w1: Parameter, b1: Parameter, w2: Parameter, b2: Parameter, e_max: int
-) -> tuple[Variable, np.ndarray]:
-    """Real-valued budget k_hat in [1, e_max] and its rounded integer K."""
-    hidden = ad.relu(ad.linear(chi, w1, b1))
-    z = ad.reshape(ad.linear(hidden, w2, b2), (-1,))
-    k_hat = ad.sigmoid(z) * float(e_max - 1) + 1.0
-    k = np.clip(np.rint(k_hat.value), 1, e_max).astype(np.int64)
-    return k_hat, k
-
-
-def gate_probabilities(chi: Variable, wg: Parameter, bg: Parameter) -> Variable:
-    """Softmax expert activation probabilities, shape (B, E)."""
-    return ad.softmax(ad.linear(chi, wg, bg), axis=1)
+def coverage_count(spec: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample, the expert count K (B,) and the band-energy shares (B, E)
+    that set it, from a (B, V, 2F) spectrum packed ``[re | im]`` and the
+    bank's (E, B, F) responses h: E_e = sum_f h_e(f)^2 sum_v |X[v, f]|^2,
+    and K is the fewest experts whose shares E_e / sum E reach ``COVERAGE``
+    (top-p routing, Huang et al. 2024, over band energy).  Comparing
+    energies gives a sample with none equal shares and K = ceil(COVERAGE *
+    E) exactly.  Plain numpy on values: K records no tape node."""
+    halves = spec.reshape(spec.shape[0], -1, h.shape[-1])  # (B, 2V, F): re and im rows
+    power = np.einsum("bkf,bkf->bf", halves, halves)
+    energy = np.einsum("ebf,ebf,bf->be", h, h, power)
+    energy[energy.sum(axis=1) == 0.0] = 1.0
+    covered = np.cumsum(-np.sort(-energy, axis=1), axis=1)
+    total = covered[:, -1:]
+    k = 1 + np.count_nonzero(covered < COVERAGE * total, axis=1)
+    return k, energy / total
 
 
 def select_topk(p: Variable, k: np.ndarray | int) -> GateDecision:
@@ -144,13 +149,6 @@ def select_topk(p: Variable, k: np.ndarray | int) -> GateDecision:
     kept = p * mask.astype(np.float64)
     weights = kept / ad.vsum(kept, axis=1, keepdims=True)
     return GateDecision(k=kvec, mask=mask, weights=weights)
-
-
-def straight_through_scale(k_hat: Variable, k: np.ndarray) -> Variable:
-    """Forward-exact 1.0 whose backward routes the mixture cotangent into the
-    count head as if rounding were the identity."""
-    kf = k.astype(np.float64)
-    return (k_hat - ad.detached(k_hat) + kf) / kf
 
 
 class AdaMoGeBlock:
@@ -183,11 +181,6 @@ class AdaMoGeBlock:
             bound = 1.0 / np.sqrt(fan_in)
             return rng.uniform(-bound, bound, size=shape)
 
-        if not cfg.fixed_k:
-            self.w1 = store.add(f"{prefix}.gate.w1", uniform((hid, feat), feat))
-            self.b1 = store.add(f"{prefix}.gate.b1", np.zeros(hid))
-            self.w2 = store.add(f"{prefix}.gate.w2", uniform((1, hid), hid))
-            self.b2 = store.add(f"{prefix}.gate.b2", np.zeros(1))
         self.wg = store.add(f"{prefix}.gate.wg", uniform((cfg.e_max, feat), feat))
         self.bg = store.add(f"{prefix}.gate.bg", np.zeros(cfg.e_max))
         # complex expert maps, unit-magnitude entries scaled by 1/sqrt(F)
@@ -201,13 +194,12 @@ class AdaMoGeBlock:
         self.fw2 = store.add(f"{prefix}.ffn.w2", uniform((out_len, hid), hid))
         self.fb2 = store.add(f"{prefix}.ffn.b2", np.zeros(out_len))
 
-    def gate_decision(self, chi: Variable) -> tuple[GateDecision, Variable | None, Variable]:
-        p = gate_probabilities(chi, self.wg, self.bg)
-        if self.cfg.fixed_k:
-            k_hat, k = None, np.full(p.value.shape[0], self.cfg.fixed_k, np.int64)
-        else:
-            k_hat, k = predict_expert_count(chi, self.w1, self.b1, self.w2, self.b2, self.cfg.e_max)
-        return select_topk(p, k), k_hat, p
+    def gate_decision(self, chi: Variable, spec: Variable,
+                      h: Variable) -> tuple[GateDecision, np.ndarray, Variable]:
+        """Top-K selection, ``coverage_count`` shares, softmax probabilities."""
+        p = ad.softmax(ad.linear(chi, self.wg, self.bg), axis=1)
+        k, shares = coverage_count(spec.value, h.value)
+        return select_topk(p, self.cfg.fixed_k or k), shares, p
 
     def experts_forward(self, spec: Variable, h: Variable, weights: Variable,
                         mask: np.ndarray) -> Variable:
@@ -231,17 +223,13 @@ class AdaMoGeBlock:
     def forward(self, x: Variable, diag: list | None = None) -> Variable:
         spec = spectrum_of(x)
         summary = summarize(spec)
-        decision, k_hat, probs = self.gate_decision(summary.chi)
         bp = self.bank.apply(spec)
-        # the output gain (out_len / in_len, times the count head's
-        # straight-through 1.0) scales the (B, E) gate weights, not the mixed
-        # spectrum; the inverse transform is linear, so the gate mixes the
-        # spectra and each (B, V) row is inverted once
-        gain = self.out_len / self.in_len
-        if k_hat is not None:
-            st = straight_through_scale(k_hat, decision.k)
-            gain = ad.reshape(st * gain, (-1, 1))
-        spec_mix = self.experts_forward(spec, bp.h, decision.weights * gain, decision.mask)
+        decision, shares, probs = self.gate_decision(summary.chi, spec, bp.h)
+        # the output gain out_len / in_len scales the (B, E) gate weights, not
+        # the mixed spectrum; the inverse transform is linear, so the gate
+        # mixes the spectra and each (B, V) row is inverted once
+        weights = decision.weights * (self.out_len / self.in_len)
+        spec_mix = self.experts_forward(spec, bp.h, weights, decision.mask)
         mixed = ad.irfft_op(spec_mix, self.out_len)
         if diag is not None:
             diag.append(
@@ -250,7 +238,7 @@ class AdaMoGeBlock:
                     e=summary.e.value.copy(),
                     probabilities=probs.value.copy(),
                     decision=decision,
-                    k_hat=None if k_hat is None else k_hat.value.copy(),
+                    shares=shares,
                     passbands=np.stack([bp.f1.value, bp.f2.value], axis=1),
                     sigmas=bp.sigma.value.T.copy(),
                     raw_sigmas=bp.raw_sigma.value.T.copy(),
@@ -268,7 +256,7 @@ class BlockDiagnostics:
     e: np.ndarray
     probabilities: np.ndarray
     decision: GateDecision
-    k_hat: np.ndarray | None
+    shares: np.ndarray  # (B, E) band-energy shares, see coverage_count
     passbands: np.ndarray
     sigmas: np.ndarray
     raw_sigmas: np.ndarray

@@ -73,3 +73,20 @@ def load_like_table(rows: int = 17420, variables: int = 7, seed: int = 0) -> Ser
     values = base @ mix.T + rng.uniform(-2.0, 8.0, size=variables)
     names = [f"v{v}" for v in range(variables)]
     return SeriesTable(hourly_timestamps(rows), values, names)
+
+
+def regime_table(rows: int = 6000, variables: int = 3, period: int = 480,
+                 window: int = 96, noise: float = 0.2, seed: int = 0) -> SeriesTable:
+    """Tones that switch every ``period`` rows plus white noise of deviation
+    ``noise``: one at 5.3 cycles per ``window`` rows while r // period is
+    even, else five at 2.7, 9.4, 17.8, 26.3 and 38.6 cycles of amplitude
+    1/sqrt(5) each; every tone has its own random phase per variable."""
+    rng = np.random.default_rng(seed)
+    cycles = np.array([5.3, 2.7, 9.4, 17.8, 26.3, 38.6])[:, None]
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(len(cycles), variables))
+    t = np.arange(rows, dtype=np.float64)[:, None, None]
+    tones = np.sin(2.0 * np.pi * cycles * t / window + phase)  # (rows, 6, V)
+    five = (np.arange(rows) // period % 2 == 1)[:, None]
+    values = np.where(five, tones[:, 1:].sum(axis=1) / np.sqrt(5.0), tones[:, 0])
+    values = values + rng.normal(0.0, noise, size=(rows, variables))
+    return SeriesTable(hourly_timestamps(rows), values, [f"r{v}" for v in range(variables)])

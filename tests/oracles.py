@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from adamoge import checkpoint
+from adamoge import checkpoint, moge
 from adamoge.autodiff import Variable
 from adamoge.data import SeriesTable
 from adamoge.synthetic import hourly_timestamps
@@ -186,36 +186,30 @@ def adam_poisoned_from(step: int) -> type:
     return PoisonedAdam
 
 
-def khead_parameter_names(model) -> list[str]:
-    """Parameters whose only path to the loss crosses the count-rounding
-    discontinuity (excluded from finite-difference checks)."""
-    names = []
-    for i in range(model.cfg.depth):
-        for leaf in ("w1", "b1", "w2", "b2"):
-            name = f"b{i}.gate.{leaf}"
-            if name in model.store:
-                names.append(name)
-    return names
-
-
 def decision_margins(model, windows: np.ndarray) -> dict[str, float]:
     """Distances of a forward pass from the model's discrete decision
     boundaries; finite-difference harnesses require these to exceed the
     perturbation scale.
 
-    Returns the minimum over blocks and samples of: ``round`` (gap between
-    k_hat and the nearest rounding threshold), ``topk`` (gap between the
-    lowest kept and highest dropped probability; inf when all experts are
-    kept) and ``sigma`` (gap between the adaptive bandwidth and its clamp
-    bounds; inf for the truncation filter).
+    Returns the minimum over blocks and samples of: ``coverage`` (distance
+    of the cumulative band-energy share from the coverage threshold on
+    either side of the chosen K: the K largest shares' sum above it and the
+    K - 1 largest shares' sum below it; inf under a fixed K), ``topk`` (gap
+    between the lowest kept and highest dropped probability; inf when all
+    experts are kept) and ``sigma`` (gap between the adaptive bandwidth and
+    its clamp bounds; inf for the truncation filter).
     """
     diag = []
     model.forward(Variable(windows), diag)
-    round_m, topk_m, sigma_m = np.inf, np.inf, np.inf
+    cover_m, topk_m, sigma_m = np.inf, np.inf, np.inf
     for block, d in zip(model.blocks, diag):
-        if d.k_hat is not None:
-            frac = np.abs(d.k_hat - np.floor(d.k_hat) - 0.5)
-            round_m = min(round_m, float(frac.min()))
+        if not model.cfg.fixed_k:
+            cum = np.cumsum(np.sort(d.shares, axis=1)[:, ::-1], axis=1)
+            cum = np.concatenate([np.zeros((len(cum), 1)), cum], axis=1)
+            rows = np.arange(len(cum))
+            above = cum[rows, d.decision.k] - moge.COVERAGE
+            below = moge.COVERAGE - cum[rows, d.decision.k - 1]
+            cover_m = min(cover_m, float(np.minimum(above, below).min()))
         p_sorted = np.sort(d.probabilities, axis=1)[:, ::-1]
         for row, kk in enumerate(d.decision.k):
             if kk < p_sorted.shape[1]:
@@ -229,4 +223,4 @@ def decision_margins(model, windows: np.ndarray) -> dict[str, float]:
                 float(np.min(np.abs(d.raw_sigmas - block.bank.sigma_min))),
                 float(np.min(np.abs(d.raw_sigmas - block.bank.sigma_max))),
             )
-    return {"round": round_m, "topk": topk_m, "sigma": sigma_m}
+    return {"coverage": cover_m, "topk": topk_m, "sigma": sigma_m}

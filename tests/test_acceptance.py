@@ -28,7 +28,6 @@ from oracles import (
     decision_margins,
     dog_response,
     expert_parts,
-    khead_parameter_names,
     naive_half_spectrum,
     naive_irfft,
 )
@@ -78,15 +77,13 @@ def test_criterion_2_full_model_gradient_fidelity():
     y = rng.standard_normal((2, 8, 2))
 
     margins = decision_margins(model, x)
-    assert margins["round"] >= 1e-3, f"count-rounding margin {margins['round']}"
+    assert margins["coverage"] >= 1e-3, f"band-energy coverage margin {margins['coverage']}"
     assert margins["topk"] >= 1e-3, f"top-K margin {margins['topk']}"
 
     def build(s):
         return ad.vmean(ad.square(model.forward(Variable(x)) - y))
 
-    khead = set(khead_parameter_names(model))
-    include = [p.name for p in store if p.name not in khead]
-    err = ad.grad_check(build, store, eps=1e-5, names=include)
+    err = ad.grad_check(build, store, eps=1e-5)
     assert err < 1e-4, f"max relative gradient error {err}"
     announce(2, f"full-model gradient error {err:.2e} < 1e-4 at verified margins")
 

@@ -219,7 +219,9 @@ class TestTrain:
         # overrides may train the default model's parameters.  On this series
         # the default alpha already puts sigma at the sigma_max clamp for two
         # of the three experts, and the third is never routed, so a larger
-        # alpha trains the same parameters; a smaller one moves sigma inside
+        # alpha trains the same parameters; a smaller one moves sigma inside.
+        # Band-energy coverage keeps two of the three experts on every window
+        # of this series, so a fixed K of 2 would train the default model too
         from adamoge import checkpoint as ckpt
 
         def params(out_dir, *extra):
@@ -229,7 +231,7 @@ class TestTrain:
             return ckpt.load(os.path.join(out, "checkpoint.bin"))[1]
 
         default = params("default")
-        for i, override in enumerate(["model.fixed_k=2", "model.filter=abs-dog",
+        for i, override in enumerate(["model.fixed_k=3", "model.filter=abs-dog",
                                       "model.filter=truncation", "model.alpha=0.5"]):
             other = params(f"variant{i}", "--override", override)
             assert other.keys() != default.keys() or any(
@@ -522,8 +524,10 @@ class TestInspect:
         (cdir / "run.cfg").write_text(cfgmod.render(cfg))
         import warnings
 
+        # the zero-variance columns warn; the zero band energy must not
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["inspect-spectrum", str(cdir / "checkpoint.bin"),
                          "--origin", "0", "--out", str(tmp_path / "iz")])
         assert code == 0
@@ -532,9 +536,9 @@ class TestInspect:
         assert all(v == 0.0 for v in mu_vals)
         with open(str(tmp_path / "iz" / "gate.csv")) as fh:
             rows = list(csv.DictReader(fh))
-        k = int(rows[0]["k"])
-        k_hat = float(rows[0]["k_hat"])
-        assert k == int(np.clip(np.rint(k_hat), 1, 3))
+        # no band energy: equal shares, so coverage keeps ceil(0.9 * 3) = 3
+        assert [int(r["k"]) for r in rows] == [3] * 3
+        assert [float(r["share"]) for r in rows] == [1 / 3] * 3
 
 
     def test_origin_outside_series_exits_2(self, tmp_path, base_cfg, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from oracles import (
     dog_response,
     expert_parts,
     expert_spectra,
-    khead_parameter_names,
     naive_half_spectrum,
     naive_irfft,
     passbands,
@@ -58,13 +58,23 @@ def reference_forward(store, model, x):
         mu = [sum(abs(X[v][f]) for v in range(V)) / V for f in range(F)]
         ev = [sum(abs(X[v][f]) for f in range(F)) / F for v in range(V)]
         chi = mu + ev
-        # count head
-        w1, b1 = store["b0.gate.w1"].value, store["b0.gate.b1"].value
-        w2, b2 = store["b0.gate.w2"].value, store["b0.gate.b2"].value
-        hid = [max(0.0, sum(w1[i, j] * chi[j] for j in range(len(chi))) + b1[i]) for i in range(w1.shape[0])]
-        z = sum(w2[0, i] * hid[i] for i in range(len(hid))) + b2[0]
-        k_hat = 1.0 + (E - 1) * (1.0 / (1.0 + math.exp(-z)))
-        K = int(np.clip(np.rint(k_hat), 1, E))
+        # filters
+        mp = sum(abs(X[v][f]) ** 2 for v in range(V) for f in range(F)) / (V * F)
+        a, bb = store["b0.bank.a"].value, store["b0.bank.b"].value
+        h = []
+        for e in range(E):
+            f1 = squash(a[e]) * fnyq
+            f2 = f1 + (fnyq - f1) * squash(bb[e])
+            center = (f1 + f2) / 2.0
+            sigma = min(max(block.bank.scale * mp / center, block.bank.sigma_min), block.bank.sigma_max)
+            h.append([math.exp(-0.5 * ((f - center + (f2 - f1) / 2.0) / sigma) ** 2)
+                      - math.exp(-0.5 * ((f - center - (f2 - f1) / 2.0) / sigma) ** 2)
+                      for f in range(F)])
+        # band-energy coverage: the fewest experts holding COVERAGE of it
+        energy = [sum(h[e][f] ** 2 * abs(X[v][f]) ** 2 for v in range(V) for f in range(F))
+                  for e in range(E)]
+        shares = sorted((en / sum(energy) for en in energy), reverse=True)
+        K = next(k for k in range(1, E + 1) if sum(shares[:k]) >= moge.COVERAGE)
         # gating probabilities and hard top-K
         wg, bg = store["b0.gate.wg"].value, store["b0.gate.bg"].value
         logits = [sum(wg[e, j] * chi[j] for j in range(len(chi))) + bg[e] for e in range(E)]
@@ -73,21 +83,11 @@ def reference_forward(store, model, x):
         sel = sorted(order[:K])
         denom = sum(p[e] for e in sel)
         weights = {e: p[e] / denom for e in sel}
-        # filters
-        mp = sum(abs(X[v][f]) ** 2 for v in range(V) for f in range(F)) / (V * F)
-        a, bb = store["b0.bank.a"].value, store["b0.bank.b"].value
         mix = np.zeros((H, V))
         for e in sel:
-            f1 = squash(a[e]) * fnyq
-            f2 = f1 + (fnyq - f1) * squash(bb[e])
-            center = (f1 + f2) / 2.0
-            sigma = min(max(block.bank.scale * mp / center, block.bank.sigma_min), block.bank.sigma_max)
-            h = [math.exp(-0.5 * ((f - center + (f2 - f1) / 2.0) / sigma) ** 2)
-                 - math.exp(-0.5 * ((f - center - (f2 - f1) / 2.0) / sigma) ** 2)
-                 for f in range(F)]
             wre, wim, bre, bim = (part[e] for part in experts)
             for v in range(V):
-                sub = [X[v][f] * h[f] for f in range(F)]
+                sub = [X[v][f] * h[e][f] for f in range(F)]
                 Y = [
                     sum((wre[o, f] + 1j * wim[o, f]) * sub[f] for f in range(F))
                     + (bre[o] + 1j * bim[o])
@@ -113,16 +113,6 @@ class TestExpertCount:
         diag = []
         model.forward(Variable(x), diag)
         assert np.all(diag[0].decision.k == 1)
-
-    def test_sigmoid_saturation_reaches_emax(self):
-        store, model = build_model(e_max=5)
-        store["b0.gate.b2"].value[...] = 50.0
-        store["b0.gate.w1"].value[...] = 0.0
-        store["b0.gate.w2"].value[...] = 0.0
-        x = np.random.default_rng(1).standard_normal((2, 16, 2))
-        diag = []
-        model.forward(Variable(x), diag)
-        assert np.all(diag[0].decision.k == 5)
 
     def test_zero_logit_gives_midpoint(self):
         # z = 0, e_max = 9 -> k_hat = 1 + 8*0.5 = 5
@@ -197,6 +187,83 @@ class TestSelectTopK:
         assert list(d.indices(1)) == [1, 2]
 
 
+def packed(re, im) -> np.ndarray:
+    """A (B, V, 2F) spectrum packed [re | im] from (B, V, F) parts."""
+    return np.concatenate([np.asarray(re, float), np.asarray(im, float)], axis=-1)
+
+
+class TestCoverageCount:
+    def test_shares_by_hand(self):
+        # sample 0: P = [1+1, 1+1, 4+1] = [2, 2, 5]; h^2 = [1, 1/4, 0] and
+        # [0, 1, 1] give E = [2 + 1/2, 2 + 5] = [2.5, 7], shares 2.5/9.5 and
+        # 7/9.5, and 7/9.5 < 0.9 needs both experts.  Sample 1: P = [0, 0, 4]
+        # lies wholly under expert 1, so one expert covers it
+        spec = packed([[[1, 0, 2], [0, 1, 0]], [[0, 0, 2], [0, 0, 0]]],
+                      [[[0, 1, 0], [1, 0, 1]], [[0, 0, 0], [0, 0, 0]]])
+        h = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 1.0]])[:, None].repeat(2, axis=1)
+        k, shares = moge.coverage_count(spec, h)
+        assert k.tolist() == [2, 1]
+        assert shares.shape == (2, 2)
+        assert np.allclose(shares[0], [2.5 / 9.5, 7.0 / 9.5], rtol=0, atol=1e-15)
+        assert shares[1].tolist() == [0.0, 1.0]
+
+    def test_cumulative_share_exactly_at_tau(self):
+        # one expert per bin: P = [1, 5, 4] gives shares [0.1, 0.5, 0.4], and
+        # the two largest sum to exactly 0.9, which covers; [11, 50, 39] falls
+        # one hundredth short and needs the third.  Integer parts of two
+        # variables make each P exact
+        assert moge.COVERAGE == 0.9
+        h = np.eye(3)[:, None]
+        for power, re, im, want in (
+            ([1, 5, 4], [[1, 2, 2], [0, 0, 0]], [[0, 1, 0], [0, 0, 0]], 2),
+            ([11, 50, 39], [[3, 7, 6], [1, 0, 1]], [[1, 1, 1], [0, 0, 1]], 3),
+        ):
+            spec = packed([re], [im])
+            assert np.array_equal((spec ** 2).sum(axis=1).reshape(2, 3).sum(axis=0), power)
+            k, shares = moge.coverage_count(spec, h)
+            assert k.tolist() == [want]
+            assert np.allclose(shares[0], np.array(power) / sum(power), rtol=0, atol=1e-15)
+
+    def test_truncation_band_energy_is_the_band_power(self):
+        # hard 0/1 bands: E_e is the power of the bins in band e; integer
+        # parts keep every sum exact
+        store, model = build_model(lookback=16, horizon=8, variables=3, e_max=4,
+                                   filter="truncation", fixed_k=1)
+        bank = model.blocks[0].bank
+        rng = np.random.default_rng(40)
+        spec = packed(rng.integers(-9, 10, size=(5, 3, 9)), rng.integers(-9, 10, size=(5, 3, 9)))
+        h = bank.apply(Variable(spec)).h.value
+        k, shares = moge.coverage_count(spec, h)
+        power = (spec ** 2).sum(axis=1)
+        power = power[:, :9] + power[:, 9:]
+        band = np.stack([power[:, m.astype(bool)].sum(axis=1) for m in bank._masks], axis=1)
+        assert np.array_equal(shares, band / band.sum(axis=1, keepdims=True))
+        for b in range(5):
+            top = np.sort(band[b])[::-1]
+            assert k[b] == 1 + np.count_nonzero(np.cumsum(top) < 0.9 * top.sum())
+
+    @pytest.mark.parametrize("e_max", [1, 3, 7, 10])
+    def test_zero_spectrum_gives_equal_shares(self, e_max):
+        # no energy anywhere: equal shares, so K = ceil(tau * E), and no 0/0
+        h = np.random.default_rng(41).standard_normal((e_max, 2, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k, shares = moge.coverage_count(np.zeros((2, 3, 12)), h)
+        assert k.tolist() == [math.ceil(moge.COVERAGE * e_max)] * 2
+        assert np.all(shares == 1.0 / e_max)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_spectrum_keeps_k_in_range(self):
+        # a NaN or inf spectrum still yields a K that top-K selection
+        # accepts; the forecast carries the non-finite value instead
+        h = np.abs(np.random.default_rng(42).standard_normal((3, 2, 4)))
+        spec = np.ones((2, 1, 8))
+        spec[0, 0, 1], spec[1, 0, 2] = np.nan, np.inf
+        k, shares = moge.coverage_count(spec, h)
+        assert np.all((k >= 1) & (k <= 3))
+        assert not np.isfinite(shares).all()
+
+
 class TestExpertForward:
     def test_zero_experts_zero_forecast(self):
         store, model = build_model()
@@ -261,6 +328,24 @@ class TestForward:
         assert got.shape == (3, horizon, 2)
         assert np.max(np.abs(got - want)) < 1e-8
 
+    @pytest.mark.parametrize("horizon", [8, 24])
+    def test_matches_looped_reference_when_coverage_keeps_fewer(self, horizon):
+        # white-noise windows spread their energy so that coverage keeps
+        # every expert; a tone keeps one, and a tone with a second, weaker
+        # one keeps two
+        store, model = build_model(lookback=16, horizon=horizon, variables=2, e_max=3, seed=3)
+        t = np.arange(16)
+        tone = np.sin(2.0 * np.pi * 2.0 * t / 16.0)
+        second = 0.3 * np.sin(2.0 * np.pi * 5.0 * t / 16.0)
+        x = 0.7 * np.random.default_rng(34).standard_normal((3, 16, 2))
+        x[0] = 0.1 * x[0] + tone[:, None]
+        x[1] = 0.1 * x[1] + (tone + second)[:, None]
+        diag = []
+        got = model.forward(Variable(x), diag).value
+        assert diag[0].decision.k.tolist() == [1, 2, 3]
+        want = reference_forward(store, model, x)
+        assert np.max(np.abs(got - want)) < 1e-8
+
     def test_uniform_full_selection_is_mean_of_experts(self):
         store, model = build_model(e_max=3, fixed_k=3)
         store["b0.gate.wg"].value[...] = 0.0
@@ -287,12 +372,9 @@ class TestForward:
     def starved_expert_model():
         """A model whose expert 2 loses the gate for every sample of x, and
         the forecast for x."""
-        store, model = build_model(e_max=3, seed=1)
+        store, model = build_model(e_max=3, seed=1, fixed_k=2)
         store["b0.gate.wg"].value[...] = 0.0
         store["b0.gate.bg"].value[...] = np.array([2.0, 1.0, -5.0])
-        store["b0.gate.w1"].value[...] = 0.0
-        store["b0.gate.w2"].value[...] = 0.0
-        store["b0.gate.b2"].value[...] = -3.0  # k_hat below 1.5 -> K = 1..2
         x = np.random.default_rng(10).standard_normal((3, 16, 2))
         diag = []
         base = model.forward(Variable(x), diag).value
@@ -318,8 +400,10 @@ class TestForward:
     def test_partly_selected_expert_finite_change_is_bit_inert_for_other_samples(self):
         # the maps run as one GEMM over every expert that some sample selects,
         # so the samples that do not select expert 1 multiply its weights by
-        # exact zeros: a finite change leaves their forecasts' bytes alone
-        store, model = build_model(e_max=3, seed=2)
+        # exact zeros: a finite change leaves their forecasts' bytes alone.
+        # Coverage keeps all three experts of these white-noise windows, so
+        # K is fixed at 2
+        store, model = build_model(e_max=3, seed=2, fixed_k=2)
         x = np.random.default_rng(10).standard_normal((6, 16, 2))
         diag = []
         base = model.forward(Variable(x), diag).value
@@ -332,7 +416,7 @@ class TestForward:
         assert np.all(again[picks] != base[picks])
 
     def test_unselected_expert_gets_zero_gradient(self):
-        store, model = build_model(e_max=3, seed=1)
+        store, model = build_model(e_max=3, seed=1, fixed_k=2)
         store["b0.gate.wg"].value[...] = 0.0
         store["b0.gate.bg"].value[...] = np.array([2.0, 1.0, -5.0])
         x = np.random.default_rng(11).standard_normal((2, 16, 2))
@@ -452,15 +536,15 @@ class TestDiagnostics:
             assert np.array_equal(d.sigmas, sigma)
             assert np.array_equal(d.responses, h)
             summary = moge.summarize(spec)
-            decision, k_hat, probs = block.gate_decision(summary.chi)
+            decision, shares, probs = block.gate_decision(summary.chi, spec,
+                                                          block.bank.apply(spec).h)
             assert np.array_equal(d.mu, summary.mu.value)
             assert np.array_equal(d.e, summary.e.value)
             assert np.array_equal(d.probabilities, probs.value)
             assert np.array_equal(d.decision.mask, decision.mask)
             assert np.array_equal(d.decision.weights.value, decision.weights.value)
-            assert (d.k_hat is None) == (k_hat is None)
-            if k_hat is not None:
-                assert np.array_equal(d.k_hat, k_hat.value)
+            assert np.array_equal(d.decision.k, decision.k)
+            assert np.array_equal(d.shares, shares)
 
 
 class TestLayout:
@@ -482,11 +566,11 @@ class TestLayout:
         assert out.value.shape == (3, 8, 2)
         assert calls == {"transpose": 2, "magnitude": depth}
 
-    @pytest.mark.parametrize("depth, nodes", [(1, 80), (3, 230)])
+    @pytest.mark.parametrize("depth, nodes", [(1, 68), (3, 194)])
     def test_train_step_forms_no_sub_band_tensor(self, depth, nodes):
         # the band-pass runs inside the expert map's GEMM operand: no tape
         # node writes the expert-major (E, B, V, 2F) sub-bands, and each
-        # block records 74 nodes (75 with the residual add)
+        # block records 62 nodes (63 with the residual add)
         store, model = build_model(lookback=16, horizon=8, depth=depth)
         rng = np.random.default_rng(33)
         x, y = rng.standard_normal((5, 16, 2)), rng.standard_normal((5, 8, 2))
@@ -501,14 +585,13 @@ class TestLayout:
 
 class TestParameterCount:
     def test_gate_parameter_arithmetic(self):
-        # F+V = 56, hidden 16, e_max 7: count head 929 + gating net 399
+        # F+V = 56, e_max 7: the gating net's 7 * 56 + 7 = 399 are the whole
+        # gate, since band-energy coverage sets K without parameters
         store, model = build_model(lookback=96, horizon=96, variables=7, e_max=7)
-        gate = [p for p in store if p.name.startswith("b0.gate.")]
-        khead = sum(p.value.size for p in gate if p.name.split(".")[-1] in ("w1", "b1", "w2", "b2"))
-        router = sum(p.value.size for p in gate if p.name.split(".")[-1] in ("wg", "bg"))
-        assert khead == 929
-        assert router == 399
-        assert khead + router == 1328
+        gate = {p.name: p.value.size for p in store if p.name.startswith("b0.gate.")}
+        assert gate == {"b0.gate.wg": 392, "b0.gate.bg": 7}
+        assert sum(gate.values()) == 399
+        assert model.parameter_count() == 37_897
 
     def test_default_ett_config_under_budget(self):
         store, model = build_model(lookback=96, horizon=96, variables=7, e_max=7,
@@ -527,13 +610,13 @@ class TestFullGradient:
 
     @staticmethod
     def _full_model_grad_error(horizon):
-        """grad_check error of a depth-1 L = 16 model off its count head."""
+        """grad_check error of a depth-1 L = 16 model over every parameter."""
         store, model = build_model(lookback=16, horizon=horizon, variables=2, e_max=3, seed=5)
         rng = np.random.default_rng(14)
         x = 0.6 * rng.standard_normal((2, 16, 2))
         y = rng.standard_normal((2, horizon, 2))
         margins = decision_margins(model, x)
-        assert margins["round"] >= 1e-3
+        assert margins["coverage"] >= 1e-3
         assert margins["topk"] >= 1e-3
         assert margins["sigma"] >= 1e-3
 
@@ -541,15 +624,11 @@ class TestFullGradient:
             pred = model.forward(Variable(x))
             return ad.vmean(ad.square(pred - y))
 
-        include = [p.name for p in store
-                   if p.name not in set(khead_parameter_names(model))]
-        return ad.grad_check(build, store, eps=1e-5, names=include)
+        return ad.grad_check(build, store, eps=1e-5)
 
     def test_depth_two_grad_check(self):
-        # fixed expert count: with straight-through rounding active, every
-        # first-block parameter would feed the second block's count head and
-        # carry a surrogate gradient that central differences cannot see, so
-        # the residual-stack adjoints are verified on the fixed-K gate
+        # the residual-stack adjoints at a fixed K = 1, where the one kept
+        # gate weight is exactly 1
         store, model = build_model(lookback=12, horizon=6, variables=2, e_max=2,
                                    depth=2, feature_dim=8, seed=11,
                                    fixed_k=1)
@@ -564,15 +643,28 @@ class TestFullGradient:
         err = ad.grad_check(build, store, eps=1e-5)
         assert err < 1e-4
 
-    def test_straight_through_routes_gradient_to_count_head(self):
-        store, model = build_model(lookback=16, horizon=8, variables=2, e_max=3, seed=5)
-        x = 0.6 * np.random.default_rng(15).standard_normal((2, 16, 2))
-        store.zero_grads()
-        with ad.Tape() as tape:
-            out = model.forward(Variable(x))
-            loss = ad.vmean(ad.square(out))
-            tape.backward(loss)
-        assert np.any(store["b0.gate.w1"].grad != 0.0)
+    def test_depth_two_grad_check_coverage_keeps_fewer_experts(self):
+        # a two-cycle tone: coverage keeps 1 of 3 experts in the first block
+        # and 2 in the second, which reads the first block's output; K has
+        # no gradient path, so every parameter enters the check
+        store, model = build_model(lookback=16, horizon=8, variables=2, e_max=3,
+                                   depth=2, feature_dim=8, seed=5)
+        rng = np.random.default_rng(21)
+        tone = np.sin(2.0 * np.pi * 2.0 * np.arange(16) / 16.0)[None, :, None]
+        x = tone + 0.1 * rng.standard_normal((2, 16, 2))
+        y = rng.standard_normal((2, 8, 2))
+        diag = []
+        model.forward(Variable(x), diag)
+        assert [d.decision.k.tolist() for d in diag] == [[1, 1], [2, 2]]
+        margins = decision_margins(model, x)
+        assert margins["coverage"] >= 1e-3
+        assert margins["topk"] >= 1e-3
+        assert margins["sigma"] >= 1e-3
+
+        def build(s):
+            return ad.vmean(ad.square(model.forward(Variable(x)) - y))
+
+        assert ad.grad_check(build, store, eps=1e-5) < 1e-4
 
     def test_chi_scales_with_input(self):
         store, model = build_model()
