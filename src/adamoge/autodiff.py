@@ -256,14 +256,6 @@ def exp(a) -> Variable:
     return out
 
 
-def absval(a) -> Variable:
-    """|a| with subgradient 0 at 0."""
-    a = as_variable(a)
-    out = Variable(np.abs(a.value))
-    _record((a,), out, lambda g: (g * np.sign(a.value),))
-    return out
-
-
 def relu(a) -> Variable:
     a = as_variable(a)
     out = Variable(np.maximum(a.value, 0.0))

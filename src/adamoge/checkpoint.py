@@ -117,17 +117,16 @@ def load(path: str) -> tuple[str, dict[str, np.ndarray]]:
     return fingerprint, entries
 
 
-def load_into(path: str, store: ParameterStore, expected_fingerprint: str | None,
+def load_into(path: str, store: ParameterStore, expected_fingerprint: str,
               allow_mismatch: bool = False) -> str:
     """Load a checkpoint into an existing store, verifying the fingerprint."""
     fingerprint, entries = load(path)
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        if not allow_mismatch:
-            raise CheckpointError(
-                f"checkpoint fingerprint {fingerprint[:12]}... does not match the "
-                f"configuration ({expected_fingerprint[:12]}...); pass "
-                f"--allow-fingerprint-mismatch to override"
-            )
+    if fingerprint != expected_fingerprint and not allow_mismatch:
+        raise CheckpointError(
+            f"checkpoint fingerprint {fingerprint[:12]}... does not match the "
+            f"configuration ({expected_fingerprint[:12]}...); pass "
+            f"--allow-fingerprint-mismatch to override"
+        )
     missing = [n for n in store.names() if n not in entries]
     extra = [n for n in entries if n not in store]
     if missing or extra:

@@ -43,7 +43,8 @@ def build_parser() -> _Parser:
             help="override a configuration key (repeatable)",
         )
         p.add_argument("--seed", type=int, metavar="N", help="shorthand for train.seed")
-        p.add_argument("--out", metavar="DIR", help="output directory")
+        p.add_argument("--out", metavar="DIR", help="output directory (default: output.dir "
+                       "for train, <checkpoint dir>/<command> for the others)")
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
     common(p_train)
@@ -182,7 +183,13 @@ def cmd_train(args) -> int:
 
 
 def _restore(args) -> tuple[RunConfig, datamod.Dataset, AdaMoGeModel, str]:
-    sidecar = os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), CONFIG_NAME)
+    """Config, dataset and model of a checkpoint.  The config is the sidecar
+    ``run.cfg`` when there is one; without ``--out`` the command writes to
+    ``<checkpoint dir>/<command>/``, never over the training run's files."""
+    ckpt_dir = os.path.dirname(os.path.abspath(args.checkpoint))
+    sidecar = os.path.join(ckpt_dir, CONFIG_NAME)
+    if args.out is None:
+        args.out = os.path.join(ckpt_dir, args.command)
     cfg = resolve_config(args, default_path=sidecar if os.path.exists(sidecar) else None)
     # fingerprinted as trained: --csv only names the series to run it on
     expected = cfgmod.fingerprint(cfg)

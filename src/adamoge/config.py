@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass, field, replace
 
+from .data import KINDS
 from .fourier import MAX_LENGTH
 from .moge import ModelConfig
 from .training import TrainConfig
@@ -31,7 +33,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 @dataclass
 class DataConfig:
     path: str = ""
-    kind: str = "auto"  # auto | etth | ettm | ratio
+    kind: str = "auto"  # one of data.KINDS
     lookback: int = 96
     horizon: int = 96
 
@@ -75,9 +77,9 @@ _SCHEMA: dict[str, tuple[str, str, object]] = {
     "output.dir": ("output", "dir", str),
 }
 
-_VALID_CHOICES = {
-    "data.kind": ("auto", "etth", "ettm", "ratio"),
-}
+# a comment starts at a '#' that begins the line or follows whitespace, so a
+# value keeps any other '#'
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def set_key(cfg: RunConfig, key: str, raw: str) -> None:
@@ -91,9 +93,6 @@ def set_key(cfg: RunConfig, key: str, raw: str) -> None:
         raise
     except (TypeError, ValueError):
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
-    choices = _VALID_CHOICES.get(key)
-    if choices and value not in choices:
-        raise ConfigError(f"{key!r} must be one of {choices}, got {value!r}")
     setattr(getattr(cfg, section), attr, value)
 
 
@@ -105,7 +104,7 @@ def parse_file(path: str, cfg: RunConfig | None = None) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     for line_no, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -136,9 +135,11 @@ def validate(cfg: RunConfig, grid: bool = False) -> RunConfig:
     for key in ("data.lookback", "data.horizon"):
         if not 2 <= _value(cfg, key) <= MAX_LENGTH:
             raise ConfigError(f"{key} must lie in [2, {MAX_LENGTH}], got {_value(cfg, key)}")
+    if cfg.data.kind not in KINDS:
+        raise ConfigError(f"data.kind must be one of {KINDS}, got {cfg.data.kind!r}")
     for key, (_, _, parser) in _SCHEMA.items():
-        if parser is str and "\0" in _value(cfg, key):
-            raise ConfigError(f"{key} contains a NUL character")
+        if parser is str:
+            _check_writable(key, _value(cfg, key))
     # output.dir, or else its nearest existing ancestor, must be a directory
     probe = os.path.abspath(cfg.output.dir)
     while not os.path.exists(probe):
@@ -152,6 +153,23 @@ def validate(cfg: RunConfig, grid: bool = False) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg
+
+
+def _check_writable(key: str, value: str) -> None:
+    """Reject a string value that ``render`` cannot write so that
+    ``parse_file`` reads it back unchanged."""
+    if "\0" in value:
+        raise ConfigError(f"{key} contains a NUL character")
+    if "\n" in value or "\r" in value:
+        raise ConfigError(f"{key} contains a line break")
+    if value != value.strip():
+        raise ConfigError(f"{key} {value!r} has leading or trailing whitespace")
+    if _COMMENT.search(value):
+        raise ConfigError(f"{key} {value!r} has a '#' at its start or after whitespace")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{key} {value!r} is not valid Unicode text") from None
 
 
 def _render_value(value) -> str:

@@ -141,6 +141,10 @@ def save_csv(table: SeriesTable, path: str) -> None:
 # community-standard ETT row borders: 12/4/4 months of hourly rows
 _ETT_HOURLY = (8640, 11520, 14400)
 
+# the values of data.kind: a split protocol, or "auto" to pick one from the
+# file name (dataset_kind)
+KINDS = ("auto", "etth", "ettm", "ratio")
+
 
 def dataset_kind(path: str, configured: str = "auto") -> str:
     if configured != "auto":
@@ -258,24 +262,14 @@ class Dataset:
     """A loaded, normalised table with its split, ready for training."""
 
     name: str
-    kind: str
     values: np.ndarray  # normalised (T, V)
     split: SplitSpec
     stats: NormStats
     names: list[str]
-    timestamps: list[str]
 
 
 def prepare(table: SeriesTable, kind: str, lookback: int, horizon: int, name: str) -> Dataset:
     split = make_split(table.rows, kind, lookback, horizon)
     stats = fit_norm(table, split.train)
     normed = apply_norm(table, stats)
-    return Dataset(
-        name=name,
-        kind=kind,
-        values=normed.values,
-        split=split,
-        stats=stats,
-        names=table.names,
-        timestamps=table.timestamps,
-    )
+    return Dataset(name=name, values=normed.values, split=split, stats=stats, names=table.names)

@@ -16,9 +16,8 @@ The bank returns the responses, expert-major (E, B, F), and forms no
 sub-band: the expert map multiplies the spectrum by the gate-weighted
 responses inside its GEMM operand.
 
-``abs-dog`` takes the magnitude of that response.  ``truncation`` (fixed
-equal bands, hard 0/1 response) is the ablation baseline against the two
-learnable Gaussian filters.
+``truncation`` (fixed equal bands, hard 0/1 response) is the direct band
+truncation the learnable Gaussian filters are compared against.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .autodiff import ParameterStore, Variable
 if TYPE_CHECKING:
     from .moge import ModelConfig
 
-FILTERS = ("dog", "abs-dog", "truncation")
+FILTERS = ("dog", "truncation")
 
 
 def logit(p: np.ndarray | float) -> np.ndarray:
@@ -70,8 +69,8 @@ class FilterBank:
     """E learnable band-pass filters over the half spectrum of a window.
 
     ``cfg`` is resolved by ``ModelConfig.validate``; the bank has no defaults.
-    filter="dog" / "abs-dog": difference-of-Gaussians (or its magnitude) with
-    learnable cutoffs and sample-adaptive bandwidth.  filter="truncation":
+    filter="dog": difference-of-Gaussians with learnable cutoffs and
+    sample-adaptive bandwidth.  filter="truncation":
     fixed equal bands with a hard 0/1 response (ablation baseline); carries
     no parameters.
     """
@@ -141,6 +140,4 @@ class FilterBank:
         lo = (d + half) / s
         hi = (d - half) / s
         h = ad.exp(ad.square(lo) * -0.5) - ad.exp(ad.square(hi) * -0.5)
-        if self.filter == "abs-dog":
-            h = ad.absval(h)
         return BankPass(f1, f2, raw, sigma, h)

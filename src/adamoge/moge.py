@@ -67,7 +67,7 @@ class ModelConfig:
     e_max: int = 7
     depth: int = 1
     feature_dim: int = 16
-    filter: str = "dog"  # dog | abs-dog | truncation
+    filter: str = "dog"  # dog | truncation
     fixed_k: int = 0  # 0 -> band-energy coverage picks K per window
     alpha: float = 1.0  # bandwidth scale, times f_nyq / (2 e_max)
     sigma_min: float = 0.5

@@ -168,25 +168,18 @@ def report_on_test(
 
 @dataclass
 class FitResult:
-    best_state: dict[str, np.ndarray]
     best_val_mse: float
     epochs_run: int
-    seconds: float  # training and validation; the test report is not timed
+    seconds: float  # training and validation
     diverged: bool = False
     history: list[tuple[int, float, float]] = field(default_factory=list)
-    report: EvalReport | None = None  # test metrics, with ``compute_test``
 
 
-def fit(
-    model: AdaMoGeModel,
-    ds: Dataset,
-    tc: TrainConfig,
-    compute_test: bool = True,
-    log=None,
-) -> FitResult:
-    """Train with the MSE objective, early-stop on validation MSE, restore the
-    best parameters, and (optionally) report test metrics.  ``log``, when
-    given, receives one line per validated epoch."""
+def fit(model: AdaMoGeModel, ds: Dataset, tc: TrainConfig, log=None) -> FitResult:
+    """Train with the MSE objective, early-stop on validation MSE, and leave
+    the model's store at the best epoch's parameters.  The test split is not
+    touched: ``report_on_test`` reports on it.  ``log``, when given, receives
+    one line per validated epoch."""
     tc.validate()
     store = model.store
     t0 = time.perf_counter()
@@ -242,15 +235,12 @@ def fit(
             if since_best > tc.patience:
                 break
     store.load_state_dict(best_state)
-    seconds = time.perf_counter() - t0
     return FitResult(
-        best_state=best_state,
         best_val_mse=float(best_val),
         epochs_run=epochs_run,
-        seconds=seconds,
+        seconds=time.perf_counter() - t0,
         diverged=diverged,
         history=history,
-        report=report_on_test(model, ds, tc.batch_size, seconds=seconds) if compute_test else None,
     )
 
 
@@ -289,13 +279,13 @@ def _labelled(log, combo: dict):
 
 
 def grid_search(
-    ds: Dataset, tc: TrainConfig, combos: list[dict], build_model, fingerprint_for=None, log=None,
+    ds: Dataset, tc: TrainConfig, combos: list[dict], build_model, fingerprint_for, log=None,
 ) -> GridResult:
     """Train every combination in ``combos``, rank by validation MSE, and
     evaluate the test split only for the winner (no test-set selection).
 
     ``build_model`` maps a combo dict to a fresh (store, model) pair;
-    ``fingerprint_for`` (optional) maps a combo to its config fingerprint;
+    ``fingerprint_for`` maps a combo to its config fingerprint;
     ``log`` goes to each ``fit``, each line followed by the combination it
     belongs to, as in ``(e_max=3 depth=1 feature_dim=16)``, so that a
     sweep's log splits by combination.  ``fit`` leaves each model at its best
@@ -307,7 +297,7 @@ def grid_search(
     best_entry = best_model = None
     for combo in combos:
         model = build_model(combo)[1]
-        result = fit(model, ds, tc, compute_test=False, log=_labelled(log, combo))
+        result = fit(model, ds, tc, log=_labelled(log, combo))
         entry = GridEntry(combo, result.best_val_mse, model.parameter_count(), result.seconds,
                           result.epochs_run, result.diverged)
         entries.append(entry)
@@ -315,12 +305,12 @@ def grid_search(
         if best_entry is None or entry.val_mse < best_entry.val_mse:
             best_entry, best_model = entry, model
         del model, result  # only the running best stays alive
-    fingerprint = fingerprint_for(best_entry.combo) if fingerprint_for else ""
     return GridResult(
         entries=sorted(entries, key=lambda e: e.val_mse),
         winner=best_entry,
         winner_report=report_on_test(
-            best_model, ds, tc.batch_size, fingerprint, seconds=sum(e.seconds for e in entries)
+            best_model, ds, tc.batch_size, fingerprint_for(best_entry.combo),
+            seconds=sum(e.seconds for e in entries),
         ),
         winner_store=best_model.store,
     )

@@ -167,6 +167,23 @@ def duplicate_last_entry(path: str) -> str:
     return name
 
 
+def reshape_last_entry(path: str, shape: tuple[int, ...]) -> str:
+    """Give the last entry of the checkpoint at ``path`` the rank and dims
+    of ``shape``, followed by that many zero values, whether or not numpy
+    can hold such an array; return that entry's name."""
+    _, entries = checkpoint.load(path)
+    name, arr = list(entries.items())[-1]
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    blob = blob[: len(blob) - (4 + 8 * arr.ndim + arr.nbytes)]
+    blob += len(shape).to_bytes(4, "little")
+    blob += b"".join(d.to_bytes(8, "little") for d in shape)
+    blob += bytes(8 * math.prod(shape))
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return name
+
+
 def adam_poisoned_from(step: int) -> type:
     """An ``Adam`` that sets its first parameter's gradient to NaN from
     optimizer step ``step`` (0-based) on, just before the step's finiteness

@@ -142,9 +142,8 @@ class TestGradientRule:
         {},
         {"depth": 3},
         {"filter": "truncation"},
-        {"filter": "abs-dog"},
         {"fixed_k": 2},
-    ], ids=["default", "depth3", "truncation", "abs-dog", "fixed-k"])
+    ], ids=["default", "depth3", "truncation", "fixed-k"])
     def test_adjoints_never_write_into_their_cotangent(self, cfg_kw):
         store, model, x, y = small_model(**cfg_kw)
         with Tape() as tape:
@@ -218,7 +217,6 @@ class TestPrimitiveAdjoints:
             "square",
             "relu",
             "sigmoid",
-            "absval",
             "softmax",
             "linear",
             "concat",
@@ -244,7 +242,6 @@ class TestPrimitiveAdjoints:
             "square": lambda s: ad.vsum(ad.square(s["a"])),
             "relu": lambda s: ad.vsum(ad.relu(s["a"] - 1.0)),
             "sigmoid": lambda s: ad.vsum(ad.sigmoid(s["a"])),
-            "absval": lambda s: ad.vsum(ad.absval(s["a"] - 1.2)),
             "softmax": lambda s: ad.vsum(ad.square(ad.softmax(s["a"], axis=1))),
             "linear": lambda s: ad.vsum(ad.square(ad.linear(s["a"], s["w"], s["c"]))),
             "concat": lambda s: ad.vsum(ad.square(ad.concat([s["a"], s["b"]], 1))),
@@ -254,7 +251,7 @@ class TestPrimitiveAdjoints:
         }
         # a central difference straddling a kink of the builder above
         # measures neither one-sided slope
-        kinks = {"relu": (1.0,), "absval": (1.2,), "clamp": (0.8, 1.7)}
+        kinks = {"relu": (1.0,), "clamp": (0.8, 1.7)}
         for kink in kinks.get(name, ()):
             assert np.min(np.abs(a - kink)) >= 1e-3, f"{name}: input within 1e-3 of {kink}"
         err = fd_check(builders[name], {"a": a, "b": b, "w": w, "c": c})

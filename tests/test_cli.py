@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from adamoge import training
 from adamoge.cli import main
 from adamoge.synthetic import sinusoid_table
 
-from oracles import adam_poisoned_from, constant_table, duplicate_last_entry
+from oracles import adam_poisoned_from, constant_table, duplicate_last_entry, reshape_last_entry
 
 
 @pytest.fixture()
@@ -81,6 +82,11 @@ BAD_VALUES = [
     (["--seed", "-1"], "train.seed"),
     (["--override", "train.base_lr=nan"], "train.base_lr"),
     (["--override", "model.filter=boxcar"], "model.filter"),
+    # removed with no replacement
+    (["--override", "model.filter=abs-dog"], "model.filter"),
+    (["--override", "data.kind=hourly"], "data.kind"),
+    # render could not write these so that run.cfg reads them back
+    (["--override", "data.path=series #1.csv"], "data.path"),
     # keys removed when each model choice got one key: fixed_k replaced
     # adaptive_k, filter replaced filter.mode and filter.family, alpha
     # absorbed sigma0
@@ -231,8 +237,8 @@ class TestTrain:
             return ckpt.load(os.path.join(out, "checkpoint.bin"))[1]
 
         default = params("default")
-        for i, override in enumerate(["model.fixed_k=3", "model.filter=abs-dog",
-                                      "model.filter=truncation", "model.alpha=0.5"]):
+        for i, override in enumerate(["model.fixed_k=3", "model.filter=truncation",
+                                      "model.alpha=0.5"]):
             other = params(f"variant{i}", "--override", override)
             assert other.keys() != default.keys() or any(
                 not np.array_equal(other[name], default[name]) for name in default
@@ -330,7 +336,8 @@ class TestEval:
         err = capsys.readouterr().err
         assert "truncated" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("damage", ["trailing bytes", "directory", "duplicate entry"])
+    @pytest.mark.parametrize("damage", ["trailing bytes", "directory", "duplicate entry",
+                                        "rank 65", "empty oversized dims"])
     def test_unreadable_checkpoint_is_usage_error(self, tmp_path, base_cfg, capsys, damage):
         code, out = run_train(tmp_path, base_cfg)
         path = os.path.join(out, "checkpoint.bin")
@@ -340,6 +347,10 @@ class TestEval:
             want = "trailing bytes after last entry"
         elif damage == "duplicate entry":
             want = f"duplicate entry {duplicate_last_entry(path)!r}"
+        elif damage == "rank 65":  # above numpy's limit of 64 dims
+            want = f"entry {reshape_last_entry(path, (1,) * 65)!r} has unusable shape"
+        elif damage == "empty oversized dims":  # zero values, but too big to index
+            want = f"entry {reshape_last_entry(path, (0, 2**62))!r} has unusable shape"
         else:
             os.remove(path)
             os.mkdir(path)
@@ -350,6 +361,42 @@ class TestEval:
         err = capsys.readouterr().err
         assert want in err and "Traceback" not in err
         assert not (tmp_path / "e6").exists()
+
+    def test_hash_in_data_path_survives_run_cfg(self, tmp_path, synth_csv, base_cfg, capsys):
+        # run.cfg keeps a '#' that no whitespace precedes; eval reads the
+        # series back from the path it names
+        data_dir = tmp_path / "d#1"
+        data_dir.mkdir()
+        csv_path = shutil.copy(synth_csv, data_dir / "s.csv")
+        code, out = run_train(tmp_path, base_cfg, "--override", f"data.path={csv_path}")
+        assert code == 0
+        capsys.readouterr()
+        assert main(["eval", os.path.join(out, "checkpoint.bin")]) == 0
+        assert json.loads(capsys.readouterr().out)["dataset"] == "s"
+
+    def test_removed_filter_in_run_cfg_exits_1_writing_nothing(self, tmp_path, base_cfg, capsys):
+        # model.filter = abs-dog has no replacement: train from such a config
+        # and eval of a run whose sidecar names it both refuse by key
+        absdog = tmp_path / "absdog.cfg"
+        absdog.write_text(open(base_cfg).read() + "model.filter = abs-dog\n")
+        out = tmp_path / "absdog"
+        assert main(["train", "--config", str(absdog), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model.filter" in err and "Traceback" not in err
+        assert not out.exists()
+        code, run = run_train(tmp_path, base_cfg)
+        assert code == 0
+        sidecar = os.path.join(run, "run.cfg")
+        text = open(sidecar).read()
+        assert "model.filter = dog\n" in text
+        with open(sidecar, "w") as fh:
+            fh.write(text.replace("model.filter = dog\n", "model.filter = abs-dog\n"))
+        files = sorted(os.listdir(run))
+        capsys.readouterr()
+        assert main(["eval", os.path.join(run, "checkpoint.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model.filter" in err and "Traceback" not in err
+        assert sorted(os.listdir(run)) == files
 
     def test_nonfinite_metrics_exit_3_without_report(self, tmp_path, base_cfg, capsys):
         path = nan_checkpoint(tmp_path, base_cfg)
@@ -609,6 +656,20 @@ class TestOutputDir:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "output.dir" in err and "Traceback" not in err
         assert blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "inspect-spectrum"])
+    def test_without_out_writes_beside_the_checkpoint(self, tmp_path, base_cfg, capsys, command):
+        # the sidecar's output.dir is the training run's own directory: a
+        # command without --out writes to <checkpoint dir>/<command>/ and
+        # leaves the training report's bytes alone
+        code, out = run_train(tmp_path, base_cfg)
+        before = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+        path = os.path.join(out, "checkpoint.bin")
+        assert main(command_args(command, base_cfg, path)) == 0
+        assert set(os.listdir(out)) == set(before) | {command}
+        for name, blob in before.items():
+            assert open(os.path.join(out, name), "rb").read() == blob, name
+        assert os.listdir(os.path.join(out, command))
 
     def test_unwritable_out_exits_1(self, tmp_path, base_cfg, capsys, monkeypatch):
         def refuse(path, exist_ok=False):

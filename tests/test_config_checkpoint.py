@@ -2,11 +2,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from adamoge import checkpoint as ckpt
 from adamoge import config as cfgmod
 from adamoge.autodiff import ParameterStore
 from adamoge.config import ConfigError, RunConfig
+from adamoge.data import KINDS
+from adamoge.filterbank import FILTERS
 
 from oracles import duplicate_last_entry
 
@@ -31,6 +35,37 @@ class TestConfig:
         assert back.model.fixed_k == 2
         assert cfgmod.fingerprint(back) == cfgmod.fingerprint(cfg)
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        key=st.sampled_from([k for k, (_, _, parser) in cfgmod._SCHEMA.items() if parser is str]),
+        value=st.one_of(
+            st.text(st.sampled_from("a/.#= \t\n\r\x0b\x1c\x85\u2028\u3000\0\udc80"),
+                    max_size=8),
+            st.text(st.characters(exclude_categories=()), max_size=8),
+            st.sampled_from(KINDS + FILTERS),
+        ),
+    )
+    @example(key="data.path", value="d#1/s.csv")
+    @example(key="output.dir", value="runs/a #b")
+    def test_every_accepted_string_value_round_trips(self, tmp_path, key, value):
+        # what validate accepts, render must write so that parse_file reads
+        # it back unchanged
+        cfg = RunConfig()
+        section, attr, _ = cfgmod._SCHEMA[key]
+        setattr(getattr(cfg, section), attr, value)
+        try:
+            cfgmod.validate(cfg)
+        except ConfigError as exc:
+            assert key in str(exc)
+            return
+        path = tmp_path / "round.cfg"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(cfgmod.render(cfg))
+        back = cfgmod.parse_file(str(path))
+        assert back == cfg
+        assert cfgmod.fingerprint(back) == cfgmod.fingerprint(cfg)
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "b.cfg"
         path.write_text("model.expert_count = 7\n")
@@ -39,9 +74,11 @@ class TestConfig:
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("# header\n\nmodel.e_max = 5  # inline\n")
+        path.write_text("# header\n\nmodel.e_max = 5  # inline\n  # indented\n"
+                        "data.path = d#1/s.csv\t# a '#' inside a value is kept\n")
         cfg = cfgmod.parse_file(str(path))
         assert cfg.model.e_max == 5
+        assert cfg.data.path == "d#1/s.csv"
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="model.e_max"):

@@ -201,15 +201,6 @@ class TestApply:
             )
             assert np.max(np.abs(h[:, b] - want)) < 1e-13
 
-    def test_abs_mode_is_magnitude_of_dog(self):
-        rng = np.random.default_rng(9)
-        store, bank = make_bank(e_max=3, bins=9)
-        store2, bank2 = make_bank(e_max=3, bins=9, filter="abs-dog")
-        spec = random_spectrum(rng)
-        h1 = bank.apply(spec).h.value
-        h2 = bank2.apply(spec).h.value
-        assert np.allclose(np.abs(h1), h2, atol=1e-15)
-
 
 class TestGradients:
     def test_filtering_path_including_sigma(self):

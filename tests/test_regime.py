@@ -11,7 +11,7 @@ from adamoge import data
 from adamoge.autodiff import ParameterStore, Variable
 from adamoge.moge import AdaMoGeModel, ModelConfig
 from adamoge.synthetic import regime_table
-from adamoge.training import TrainConfig, fit
+from adamoge.training import TrainConfig, fit, report_on_test
 
 PERIOD, LOOKBACK = 480, 96
 
@@ -21,7 +21,9 @@ def test_coverage_keeps_more_experts_for_five_tones(record_property):
                       LOOKBACK, LOOKBACK, "regime")
     store = ParameterStore()
     model = AdaMoGeModel(store, LOOKBACK, LOOKBACK, 3, ModelConfig(), seed=0)
-    result = fit(model, ds, TrainConfig(epochs=6, batch_size=32, patience=10, seed=0))
+    tc = TrainConfig(epochs=6, batch_size=32, patience=10, seed=0)
+    fit(model, ds, tc)
+    report = report_on_test(model, ds, tc.batch_size)
     ks, regimes = [], []
     for batch in data.iter_windows(ds.values, ds.split.test, LOOKBACK, LOOKBACK, 256):
         diag = []
@@ -32,7 +34,7 @@ def test_coverage_keeps_more_experts_for_five_tones(record_property):
     k, regime = np.concatenate(ks), np.concatenate(regimes)
     e = model.cfg.e_max
     record = {
-        "test_mse": result.report.mse,
+        "test_mse": report.mse,
         "k_mean_one_tone": float(k[regime == 0].mean()),
         "k_mean_five_tones": float(k[regime == 1].mean()),
         "frac_k_inside": float(np.mean((k > 1) & (k < e))),

@@ -10,7 +10,9 @@ from adamoge import data, training
 from adamoge.autodiff import ParameterStore, Tape, Variable
 from adamoge.moge import AdaMoGeModel, ModelConfig
 from adamoge.synthetic import sinusoid_table
-from adamoge.training import Adam, TrainConfig, cosine_lr, fit, grid_combinations, grid_search
+from adamoge.training import (
+    Adam, TrainConfig, cosine_lr, fit, grid_combinations, grid_search, report_on_test,
+)
 
 from oracles import adam_poisoned_from
 
@@ -201,14 +203,18 @@ class TestFit:
     def test_same_seed_bit_identical(self):
         ds = tiny_dataset()
         tc = TrainConfig(epochs=3, batch_size=64, seed=7)
-        r1 = fit(tiny_model(ds, seed=7)[1], ds, tc)
-        r2 = fit(tiny_model(ds, seed=7)[1], ds, tc)
-        assert r1.report.mse == r2.report.mse
-        assert r1.report.mae == r2.report.mae
+        runs = []
+        for _ in range(2):
+            store, model = tiny_model(ds, seed=7)
+            result = fit(model, ds, tc)
+            runs.append((result, report_on_test(model, ds, tc.batch_size), store.state_dict()))
+        (r1, report1, state1), (r2, report2, state2) = runs
+        assert report1.mse == report2.mse
+        assert report1.mae == report2.mae
         assert r1.best_val_mse == r2.best_val_mse
-        assert r1.report.content_hash() == r2.report.content_hash()
-        for name, arr in r1.best_state.items():
-            assert arr.tobytes() == r2.best_state[name].tobytes()
+        assert report1.content_hash() == report2.content_hash()
+        for name, arr in state1.items():
+            assert arr.tobytes() == state2[name].tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # training diverges on purpose
     def test_divergence_aborts_and_keeps_finite_state(self):
@@ -236,7 +242,7 @@ class TestFit:
         assert result.diverged
         assert result.epochs_run == 2 and len(result.history) == 1
         assert result.best_val_mse == result.history[0][2]
-        assert np.isfinite(result.report.mse)
+        assert np.isfinite(report_on_test(model, ds, tc.batch_size).mse)
         for name, arr in poisoned.poisoned_state.items():
             assert np.all(np.isfinite(arr))
             assert store[name].value.tobytes() == arr.tobytes(), name
@@ -253,8 +259,10 @@ class TestFit:
 
         monkeypatch.setattr(training, "iter_windows", spy)
         fit(model, ds, TrainConfig(epochs=2, batch_size=64, seed=3))
+        assert touched and ds.split.test not in touched
+        report_on_test(model, ds, 64)
         test_uses = [r for r in touched if r == ds.split.test]
-        assert len(test_uses) == 1  # only the final report
+        assert len(test_uses) == 1  # only the report
         assert touched[-1] == ds.split.test
 
 
@@ -264,8 +272,8 @@ class TestSyntheticRecovery:
         ds = tiny_dataset(rows=2400, seed=4)
         store, model = tiny_model(ds, seed=4)
         tc = TrainConfig(epochs=12, batch_size=32, patience=12, seed=4)
-        result = fit(model, ds, tc)
-        assert result.report.mse < 0.15  # noise floor ~0.04 at 14 dB
+        fit(model, ds, tc)
+        assert report_on_test(model, ds, tc.batch_size).mse < 0.15  # noise floor ~0.04 at 14 dB
 
 
 class TestGrid:
@@ -286,10 +294,12 @@ class TestGrid:
             return tiny_model(ds, seed=5, e_max=combo["e_max"], depth=combo["depth"],
                               feature_dim=combo["feature_dim"])
 
-        gr = grid_search(ds, tc, grid_combinations(tc), build)
-        direct = fit(tiny_model(ds, seed=5)[1], ds, tc)
-        assert gr.winner_report.mse == direct.report.mse
+        gr = grid_search(ds, tc, grid_combinations(tc), build, lambda combo: "fp")
+        model = tiny_model(ds, seed=5)[1]
+        direct = fit(model, ds, tc)
+        assert gr.winner_report.mse == report_on_test(model, ds, tc.batch_size).mse
         assert gr.winner.val_mse == direct.best_val_mse
+        assert gr.winner_report.fingerprint == "fp"
 
     def test_representation_gap_ranks_clean_config_first(self):
         # two tones in different spectral halves; hard truncation with a
@@ -308,7 +318,7 @@ class TestGrid:
                 filter="truncation", fixed_k=1,
             )
 
-        gr = grid_search(ds, tc, grid_combinations(tc), build)
+        gr = grid_search(ds, tc, grid_combinations(tc), build, lambda combo: "")
         assert gr.winner.combo["e_max"] == 1
         assert gr.entries[0].val_mse < gr.entries[1].val_mse
         # only the winner carries test metrics
@@ -338,7 +348,7 @@ class TestGrid:
             return evaluate(model, ds_, row_range, *a, **kw)
 
         monkeypatch.setattr(training, "evaluate", spy)
-        gr = grid_search(ds, tc, grid_combinations(tc), build)
+        gr = grid_search(ds, tc, grid_combinations(tc), build, lambda combo: "")
         winner = grid_combinations(tc).index(gr.winner.combo)
         assert seen == [[winner], [winner]]
         assert alive_at_build == [0, 1, 1, 1, 1, 1]  # the running best only
