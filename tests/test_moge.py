@@ -503,7 +503,7 @@ def separate_bank_evaluation(bank, spec):
 class TestDiagnostics:
     @pytest.mark.parametrize("depth", [1, 3])
     @pytest.mark.parametrize("with_diag", [False, True])
-    @pytest.mark.parametrize("kw", [{}, {"filter": "truncation", "fixed_k": 2}])
+    @pytest.mark.parametrize("kw", [{}, {"fixed_k": 2}, {"filter": "truncation", "fixed_k": 2}])
     def test_one_cutoffs_call_per_block_and_fields_match(self, monkeypatch, depth, with_diag, kw):
         store, model = build_model(lookback=16, horizon=8, depth=depth, e_max=4, **kw)
         x = np.random.default_rng(30).standard_normal((3, 16, 2))
