@@ -10,6 +10,7 @@ import argparse
 import csv
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -206,7 +207,9 @@ def _restore(args) -> tuple[RunConfig, datamod.Dataset, AdaMoGeModel, str]:
 
 def cmd_eval(args) -> int:
     cfg, ds, model, fp = _restore(args)
-    report = report_on_test(model, ds, cfg.train.batch_size, fp)
+    t0 = time.perf_counter()
+    report = report_on_test(model, ds, cfg.train.batch_size, fp, seconds=0.0)
+    report = replace(report, seconds=time.perf_counter() - t0)  # the test-split evaluation
     _require_finite("test metrics", report.mse, report.mae)
     out_dir = _make_out_dir(cfg)
     _write_report(out_dir, report)

@@ -62,9 +62,6 @@ _SCHEMA: dict[str, tuple[str, str, object]] = {
     "model.feature_dim": ("model", "feature_dim", int),
     "model.filter": ("model", "filter", str),
     "model.fixed_k": ("model", "fixed_k", int),
-    "model.alpha": ("model", "alpha", float),
-    "model.sigma_min": ("model", "sigma_min", float),
-    "model.sigma_max": ("model", "sigma_max", float),
     "train.epochs": ("train", "epochs", int),
     "train.batch_size": ("train", "batch_size", int),
     "train.base_lr": ("train", "base_lr", float),

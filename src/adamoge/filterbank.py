@@ -4,8 +4,8 @@ Each of the E filters is a difference of two Gaussians centred at its lower
 and upper cutoff, evaluated at integer bin frequencies.  Cutoffs are stored
 through nested sigmoids so 0 < f1 < f2 < f_nyq holds for any parameter
 value, and the bandwidth is recomputed per sample from the window's mean
-spectral power scaled by alpha * f_nyq / (2 E) / (centre frequency), clamped
-to a safe interval.
+spectral power: sigma = clamp(f_nyq / (2 E) * mean|X|^2 / centre, SIGMA_MIN,
+f_nyq / 2).  The rule has no options; the bounds follow from the bin count.
 
 The response is evaluated around the filter centre, H(f) =
 exp(-((d+h)/s)^2/2) - exp(-((d-h)/s)^2/2) with d = f - (f1+f2)/2 and
@@ -23,17 +23,18 @@ truncation the learnable Gaussian filters are compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Variable
 
-if TYPE_CHECKING:
-    from .moge import ModelConfig
-
 FILTERS = ("dog", "truncation")
+
+# the narrowest bandwidth, half a bin: the responses are evaluated at integer
+# bins, and a narrower Gaussian can fall between them; it also keeps the
+# division by sigma finite for a window with no power (raw sigma 0)
+SIGMA_MIN = 0.5
 
 
 def logit(p: np.ndarray | float) -> np.ndarray:
@@ -63,27 +64,29 @@ class BankPass:
     raw_sigma: Variable  # (E, B) adaptive bandwidth before the clamp
     sigma: Variable  # (E, B) clamped bandwidth
     h: Variable  # (E, B, F) responses at integer bins
+    power: np.ndarray  # (B, F) sum over variables of |X|^2, a value off the tape
 
 
 class FilterBank:
     """E learnable band-pass filters over the half spectrum of a window.
 
-    ``cfg`` is resolved by ``ModelConfig.validate``; the bank has no defaults.
     filter="dog": difference-of-Gaussians with learnable cutoffs and
-    sample-adaptive bandwidth.  filter="truncation":
-    fixed equal bands with a hard 0/1 response (ablation baseline); carries
-    no parameters.
+    sample-adaptive bandwidth, whose scale f_nyq / (2 E) and clamp
+    [SIGMA_MIN, f_nyq / 2] follow from ``bins`` and ``e_max``.
+    filter="truncation": fixed equal bands with a hard 0/1 response
+    (ablation baseline); carries no parameters.  The caller checks its
+    arguments (``ModelConfig.validate``).
     """
 
-    def __init__(self, store: ParameterStore, prefix: str, bins: int, cfg: ModelConfig):
-        self.e_max = cfg.e_max
+    def __init__(self, store: ParameterStore, prefix: str, bins: int, e_max: int, filter: str):
+        self.e_max = e_max
         self.bins = bins
         self.f_nyq = float(bins - 1)
-        # alpha times the base bandwidth f_nyq / (2 E)
-        self.scale = self.f_nyq / (2.0 * self.e_max) * float(cfg.alpha)
-        self.sigma_min = float(cfg.sigma_min)
-        self.sigma_max = float(cfg.sigma_max)
-        self.filter = cfg.filter
+        self.scale = self.f_nyq / (2.0 * e_max)  # the bandwidth of an equal share of the bins
+        self.sigma_min = SIGMA_MIN
+        # wider than half the spectrum, a Gaussian no longer tells bands apart
+        self.sigma_max = self.f_nyq / 2.0
+        self.filter = filter
         self._freqs = np.arange(bins, dtype=np.float64)
         # equal tiling of [0, f_nyq]: the initial Gaussian cutoffs and the
         # fixed truncation bands
@@ -118,7 +121,8 @@ class FilterBank:
         on a (B, V, 2F) spectrum packed ``[re | im]``, expert-major: (E, B, ...).
 
         sigma = clamp(scale * mean|X|^2 / centre), the mean taken over every
-        bin of every variable of a sample.
+        bin of every variable of a sample.  ``power`` hands the per-bin sum
+        of |X|^2 over variables to band-energy coverage.
         """
         b, v, packed = spec.value.shape
         if packed != 2 * self.bins:
@@ -127,7 +131,8 @@ class FilterBank:
         if self.filter == "truncation":
             zeros = Variable(np.zeros((self.e_max, b)))
             h = Variable(np.broadcast_to(self._masks[:, None], (self.e_max, b, self.bins)).copy())
-            return BankPass(f1, f2, zeros, zeros, h)
+            power = np.square(spec.value).reshape(b, v, 2, self.bins).sum(axis=2)
+            return BankPass(f1, f2, zeros, zeros, h, power.sum(axis=1))
         center = (f1 + f2) * 0.5
         # |X|^2 per bin (re^2 + im^2) before the mean over (V, F)
         power = ad.vsum(ad.reshape(ad.square(spec), (b, v, 2, self.bins)), axis=2)
@@ -140,4 +145,4 @@ class FilterBank:
         lo = (d + half) / s
         hi = (d - half) / s
         h = ad.exp(ad.square(lo) * -0.5) - ad.exp(ad.square(hi) * -0.5)
-        return BankPass(f1, f2, raw, sigma, h)
+        return BankPass(f1, f2, raw, sigma, h, power.value.sum(axis=1))

@@ -42,7 +42,7 @@ that map reads: ``experts.w`` (E, F, 2O), each complex (O, F) weight W as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,23 +60,21 @@ COVERAGE = 0.9
 @dataclass
 class ModelConfig:
     """Architecture knobs (a subset of the run config's model section).
-    ``validate`` is the one place that checks them and resolves the 0 = auto
-    value of ``sigma_max``; the model, its blocks and their filter banks read
-    its copy."""
+    ``validate`` is the one place that checks them; the filter bank derives
+    its bandwidth bounds from its bin count and takes no options."""
 
     e_max: int = 7
     depth: int = 1
     feature_dim: int = 16
     filter: str = "dog"  # dog | truncation
     fixed_k: int = 0  # 0 -> band-energy coverage picks K per window
-    alpha: float = 1.0  # bandwidth scale, times f_nyq / (2 e_max)
-    sigma_min: float = 0.5
-    sigma_max: float = 0.0  # 0 -> f_nyq / 2
 
-    def validate(self, lookback: int) -> ModelConfig:
+    def validate(self, lookback: int) -> None:
         """Raise ValueError naming the first ``model.*`` key that no model
-        over a ``lookback``-step window can use; otherwise return a copy with
-        sigma_max's auto value, (lookback // 2) / 2, filled in."""
+        over a ``lookback``-step window can use, or the lookback itself."""
+        # one step has a single bin, f_nyq = 0: no band for a filter to pass
+        if lookback < 2:
+            raise ValueError(f"lookback must be >= 2 for a model, got {lookback}")
         for name in ("e_max", "depth", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"model.{name} must be >= 1, got {getattr(self, name)}")
@@ -90,18 +88,6 @@ class ModelConfig:
         if self.fixed_k not in range(self.e_max + 1):  # a fraction, inf and NaN fail too
             raise ValueError(f"model.fixed_k {self.fixed_k} is not an integer in [0, "
                              f"model.e_max = {self.e_max}] (0 = band-energy coverage picks K)")
-        # sigma must stay positive and finite, and alpha must let it adapt
-        for name in ("sigma_min", "alpha"):
-            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails too
-                raise ValueError(f"model.{name} must be finite and > 0, got {getattr(self, name)}")
-        if not 0.0 <= self.sigma_max < np.inf:
-            raise ValueError(f"model.sigma_max must be finite and >= 0 (0 = auto), "
-                             f"got {self.sigma_max}")
-        cfg = replace(self, sigma_max=self.sigma_max or float(lookback // 2) / 2.0)
-        if cfg.sigma_max < cfg.sigma_min:
-            raise ValueError(f"model.sigma_max {cfg.sigma_max} is below model.sigma_min "
-                             f"{cfg.sigma_min} (sigma_max 0 means (lookback // 2) / 2)")
-        return cfg
 
 
 @dataclass
@@ -116,16 +102,14 @@ class GateDecision:
         return np.flatnonzero(self.mask[b])
 
 
-def coverage_count(spec: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def coverage_count(power: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per sample, the expert count K (B,) and the band-energy shares (B, E)
-    that set it, from a (B, V, 2F) spectrum packed ``[re | im]`` and the
-    bank's (E, B, F) responses h: E_e = sum_f h_e(f)^2 sum_v |X[v, f]|^2,
-    and K is the fewest experts whose shares E_e / sum E reach ``COVERAGE``
-    (top-p routing, Huang et al. 2024, over band energy).  Comparing
+    that set it, from the bank's (B, F) power P[f] = sum_v |X[v, f]|^2
+    (``BankPass.power``) and its (E, B, F) responses h: E_e = sum_f
+    h_e(f)^2 P[f], and K is the fewest experts whose shares E_e / sum E
+    reach ``COVERAGE`` (top-p routing, Huang et al. 2024, over band energy).  Comparing
     energies gives a sample with none equal shares and K = ceil(COVERAGE *
     E) exactly.  Plain numpy on values: K records no tape node."""
-    halves = spec.reshape(spec.shape[0], -1, h.shape[-1])  # (B, 2V, F): re and im rows
-    power = np.einsum("bkf,bkf->bf", halves, halves)
     energy = np.einsum("ebf,ebf,bf->be", h, h, power)
     energy[energy.sum(axis=1) == 0.0] = 1.0
     covered = np.cumsum(-np.sort(-energy, axis=1), axis=1)
@@ -153,8 +137,8 @@ def select_topk(p: Variable, k: np.ndarray | int) -> GateDecision:
 
 class AdaMoGeBlock:
     """One band-mixing block, (B, V, in_len) -> (B, V, out_len): filter bank
-    + gate + experts + residual FFN.  ``cfg`` is the resolved config that
-    ``ModelConfig.validate(in_len)`` returns."""
+    + gate + experts + residual FFN.  ``cfg`` has passed
+    ``ModelConfig.validate(in_len)``."""
 
     def __init__(
         self,
@@ -170,10 +154,10 @@ class AdaMoGeBlock:
         self.in_len = in_len
         self.out_len = out_len
         self.residual = residual
-        self.cfg = cfg
+        self.fixed_k = cfg.fixed_k
         self.bins = half_bins(in_len)
         self.out_bins = half_bins(out_len)
-        self.bank = FilterBank(store, f"{prefix}.bank", self.bins, cfg)
+        self.bank = FilterBank(store, f"{prefix}.bank", self.bins, cfg.e_max, cfg.filter)
         feat = self.bins + variables
         hid = cfg.feature_dim
 
@@ -194,12 +178,13 @@ class AdaMoGeBlock:
         self.fw2 = store.add(f"{prefix}.ffn.w2", uniform((out_len, hid), hid))
         self.fb2 = store.add(f"{prefix}.ffn.b2", np.zeros(out_len))
 
-    def gate_decision(self, chi: Variable, spec: Variable,
+    def gate_decision(self, chi: Variable, power: np.ndarray,
                       h: Variable) -> tuple[GateDecision, np.ndarray, Variable]:
-        """Top-K selection, ``coverage_count`` shares, softmax probabilities."""
+        """Top-K selection, ``coverage_count`` shares, softmax probabilities,
+        from the gate features and the bank's (B, F) power and responses."""
         p = ad.softmax(ad.linear(chi, self.wg, self.bg), axis=1)
-        k, shares = coverage_count(spec.value, h.value)
-        return select_topk(p, self.cfg.fixed_k or k), shares, p
+        k, shares = coverage_count(power, h.value)
+        return select_topk(p, self.fixed_k or k), shares, p
 
     def experts_forward(self, spec: Variable, h: Variable, weights: Variable,
                         mask: np.ndarray) -> Variable:
@@ -224,7 +209,7 @@ class AdaMoGeBlock:
         spec = spectrum_of(x)
         summary = summarize(spec)
         bp = self.bank.apply(spec)
-        decision, shares, probs = self.gate_decision(summary.chi, spec, bp.h)
+        decision, shares, probs = self.gate_decision(summary.chi, bp.power, bp.h)
         # the output gain out_len / in_len scales the (B, E) gate weights, not
         # the mixed spectrum; the inverse transform is linear, so the gate
         # mixes the spectra and each (B, V) row is inverted once
@@ -278,7 +263,7 @@ class AdaMoGeModel:
         cfg: ModelConfig,
         seed: int = 0,
     ):
-        self.cfg = cfg = cfg.validate(lookback)
+        cfg.validate(lookback)
         self.store = store
         self.lookback = lookback
         self.horizon = horizon

@@ -157,10 +157,12 @@ def evaluate(model: AdaMoGeModel, ds: Dataset, row_range, batch_size: int = 64) 
 
 
 def report_on_test(
-    model: AdaMoGeModel, ds: Dataset, batch_size: int, fingerprint: str = "",
-    seconds: float = 0.0,
+    model: AdaMoGeModel, ds: Dataset, batch_size: int, fingerprint: str = "", *,
+    seconds: float,
 ) -> EvalReport:
-    """The model's metrics on the test split of ``ds``, as a report."""
+    """The model's metrics on the test split of ``ds``, as a report.  The
+    caller measures ``seconds``: the fit time in a training report, this
+    evaluation in an eval report."""
     test_mse, test_mae = evaluate(model, ds, ds.split.test, batch_size)
     return EvalReport(dataset=ds.name, horizon=model.horizon, mse=test_mse, mae=test_mae,
                       params=model.parameter_count(), seconds=seconds, fingerprint=fingerprint)

@@ -220,7 +220,7 @@ def decision_margins(model, windows: np.ndarray) -> dict[str, float]:
     model.forward(Variable(windows), diag)
     cover_m, topk_m, sigma_m = np.inf, np.inf, np.inf
     for block, d in zip(model.blocks, diag):
-        if not model.cfg.fixed_k:
+        if not block.fixed_k:
             cum = np.cumsum(np.sort(d.shares, axis=1)[:, ::-1], axis=1)
             cum = np.concatenate([np.zeros((len(cum), 1)), cum], axis=1)
             rows = np.arange(len(cum))

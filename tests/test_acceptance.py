@@ -139,15 +139,16 @@ def test_criterion_4_filter_properties():
         e_max = int(rng.integers(2, 6))
         bins = int(rng.integers(17, 50))
         store = ParameterStore()
-        # a bandwidth scale, alpha * f_nyq / (2 e_max), of 0.5 .. 3
+        # sigma is linear in the mean power: an input gain sqrt(scale / (f_nyq
+        # / (2 e_max))) gives the sigmas of a bandwidth scale of 0.5 .. 3
         scale = float(rng.uniform(0.5, 3.0))
-        cfg = ModelConfig(e_max=e_max, alpha=scale / ((bins - 1) / (2.0 * e_max)))
-        bank = fb.FilterBank(store, "bank", bins, cfg.validate(2 * (bins - 1)))
+        gain = np.sqrt(scale / ((bins - 1) / (2.0 * e_max)))
+        bank = fb.FilterBank(store, "bank", bins, e_max, "dog")
         store["bank.a"].value[...] = rng.uniform(-4.0, 4.0, size=e_max)
         store["bank.b"].value[...] = rng.uniform(-4.0, 4.0, size=e_max)
 
         # 100 Adam steps on a random loss over the responses
-        x = rng.standard_normal((2, (bins - 1) * 2, 2)) * rng.uniform(0.3, 1.5)
+        x = rng.standard_normal((2, (bins - 1) * 2, 2)) * rng.uniform(0.3, 1.5) * gain
         target = rng.standard_normal((2, e_max, bins)).transpose(1, 0, 2)
         opt = Adam(store)
         for _ in range(100):
@@ -258,8 +259,8 @@ def _train_etth1(horizon: int, seed: int, overrides: dict) -> float:
     store = ParameterStore()
     model = AdaMoGeModel(store, 96, horizon, table.variables, cfg, seed=seed)
     tc = TrainConfig(seed=seed)
-    fit(model, ds, tc)
-    return report_on_test(model, ds, tc.batch_size).mse
+    seconds = fit(model, ds, tc).seconds
+    return report_on_test(model, ds, tc.batch_size, seconds=seconds).mse
 
 
 @needs_etth1
@@ -287,8 +288,8 @@ def test_criterion_7_etth1_benchmark_bound():
     store = ParameterStore()
     model = AdaMoGeModel(store, 96, 96, table.variables, cfg, seed=0)
     tc = TrainConfig(seed=0)
-    fit(model, ds, tc)
-    report = report_on_test(model, ds, tc.batch_size)
+    seconds = fit(model, ds, tc).seconds
+    report = report_on_test(model, ds, tc.batch_size, seconds=seconds)
     assert report.mse <= 0.45, f"ETTh1-96 MSE {report.mse}"
     assert report.mae <= 0.46, f"ETTh1-96 MAE {report.mae}"
     announce(7, f"ETTh1-96 MSE {report.mse:.4f} <= 0.45, MAE {report.mae:.4f} <= 0.46")

@@ -95,19 +95,25 @@ BAD_VALUES = [
     (["--override", "model.filter.family=truncation"], "model.filter.family"),
     (["--override", "model.sigma0=inf"], "model.sigma0"),
     (["--override", "model.sigma0=-1"], "model.sigma0"),
+    # keys removed when the bandwidth rule lost its options: the bank derives
+    # its scale and clamp from its bin count; no value, not even the old
+    # default, is accepted
+    (["--override", "model.alpha=1.0"], "model.alpha"),
+    (["--override", "model.sigma_min=0.5"], "model.sigma_min"),
+    (["--override", "model.sigma_max=0"], "model.sigma_max"),
     (["--override", "model.sigma_min=0"], "model.sigma_min"),
     (["--override", "model.sigma_min=-0.5"], "model.sigma_min"),
     (["--override", "model.sigma_max=-1"], "model.sigma_max"),
     (["--override", "model.sigma_max=0.25"], "model.sigma_max"),
-    (["--override", "model.sigma_min=9"], "model.sigma_max"),
+    (["--override", "model.sigma_min=9"], "model.sigma_min"),
     (["--override", "model.alpha=0"], "model.alpha"),
     (["--override", "model.alpha=-1"], "model.alpha"),
-    (["--override", "data.path=a\0b.csv"], "data.path"),
-    (["--override", "train.base_lr=inf"], "train.base_lr"),
-    (["--override", "train.min_lr=inf"], "train.min_lr"),
     (["--override", "model.alpha=inf"], "model.alpha"),
     (["--override", "model.sigma_min=inf"], "model.sigma_min"),
     (["--override", "model.sigma_max=inf"], "model.sigma_max"),
+    (["--override", "data.path=a\0b.csv"], "data.path"),
+    (["--override", "train.base_lr=inf"], "train.base_lr"),
+    (["--override", "train.min_lr=inf"], "train.min_lr"),
 ]
 
 
@@ -222,12 +228,9 @@ class TestTrain:
 
     def test_every_model_choice_trains_another_model(self, tmp_path, base_cfg):
         # each value of a model.* key selects a distinct model: none of these
-        # overrides may train the default model's parameters.  On this series
-        # the default alpha already puts sigma at the sigma_max clamp for two
-        # of the three experts, and the third is never routed, so a larger
-        # alpha trains the same parameters; a smaller one moves sigma inside.
-        # Band-energy coverage keeps two of the three experts on every window
-        # of this series, so a fixed K of 2 would train the default model too
+        # overrides may train the default model's parameters.  Band-energy
+        # coverage keeps two of the three experts on every window of this
+        # series, so a fixed K of 2 would train the default model too
         from adamoge import checkpoint as ckpt
 
         def params(out_dir, *extra):
@@ -237,8 +240,7 @@ class TestTrain:
             return ckpt.load(os.path.join(out, "checkpoint.bin"))[1]
 
         default = params("default")
-        for i, override in enumerate(["model.fixed_k=3", "model.filter=truncation",
-                                      "model.alpha=0.5"]):
+        for i, override in enumerate(["model.fixed_k=3", "model.filter=truncation"]):
             other = params(f"variant{i}", "--override", override)
             assert other.keys() != default.keys() or any(
                 not np.array_equal(other[name], default[name]) for name in default
@@ -290,6 +292,10 @@ class TestEval:
         assert eval_report["mse"] == train_report["mse"]
         assert eval_report["mae"] == train_report["mae"]
         assert eval_report["fingerprint"] == train_report["fingerprint"]
+        # an eval report's seconds is the time of its test-split evaluation
+        assert eval_report["seconds"] > 0
+        written = json.loads(open(str(tmp_path / "evalout" / "report.json")).read())
+        assert written == eval_report
 
     def test_wrong_horizon_fingerprint_error(self, tmp_path, base_cfg, capsys):
         code, out = run_train(tmp_path, base_cfg)
@@ -396,6 +402,35 @@ class TestEval:
         assert main(["eval", os.path.join(run, "checkpoint.bin")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "model.filter" in err and "Traceback" not in err
+        assert sorted(os.listdir(run)) == files
+
+    def test_removed_bandwidth_key_in_run_cfg_exits_1_writing_nothing(self, tmp_path, base_cfg,
+                                                                      capsys):
+        # a run.cfg written before the bandwidth rule lost its options names
+        # model.alpha, model.sigma_max and model.sigma_min at their defaults;
+        # train from it and eval through it both refuse the first by key
+        code, run = run_train(tmp_path, base_cfg)
+        assert code == 0
+        sidecar = os.path.join(run, "run.cfg")
+        text = open(sidecar).read()
+        old = text.replace("model.depth = ", "model.alpha = 1.0\nmodel.depth = ")
+        old = old.replace("output.dir = ", "model.sigma_max = 0.0\nmodel.sigma_min = 0.5\n"
+                          "output.dir = ")
+        assert old.count("\n") == text.count("\n") + 3
+        parent = tmp_path / "parent.cfg"
+        parent.write_text(old)
+        out = tmp_path / "from-parent"
+        capsys.readouterr()
+        assert main(["train", "--config", str(parent), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model.alpha" in err and "Traceback" not in err
+        assert not out.exists()
+        with open(sidecar, "w") as fh:
+            fh.write(old)
+        files = sorted(os.listdir(run))
+        assert main(["eval", os.path.join(run, "checkpoint.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model.alpha" in err and "Traceback" not in err
         assert sorted(os.listdir(run)) == files
 
     def test_nonfinite_metrics_exit_3_without_report(self, tmp_path, base_cfg, capsys):

@@ -12,10 +12,10 @@ from adamoge.spectral import spectrum_of
 from oracles import dog_response, passbands, sub_bands
 
 
-def make_bank(e_max=3, bins=9, filter="dog", **kw):
+def make_bank(e_max=3, bins=9, filter="dog"):
     store = ParameterStore()
-    cfg = ModelConfig(e_max=e_max, filter=filter, **kw)
-    bank = fb.FilterBank(store, "bank", bins, cfg.validate(2 * (bins - 1)))
+    ModelConfig(e_max=e_max, filter=filter).validate(2 * (bins - 1))
+    bank = fb.FilterBank(store, "bank", bins, e_max, filter)
     return store, bank
 
 
@@ -70,31 +70,46 @@ def packed_spectrum(re, im):
 
 
 class TestAdaptiveSigma:
+    @pytest.mark.parametrize("bins, e_max", [(2, 1), (9, 3), (49, 7), (361, 5)])
+    def test_bounds_follow_from_bins(self, bins, e_max):
+        # scale f_nyq / (2 e_max), clamp [0.5, f_nyq / 2], f_nyq = bins - 1
+        _, bank = make_bank(e_max=e_max, bins=bins)
+        assert bank.scale == (bins - 1) / (2 * e_max)
+        assert bank.sigma_min == fb.SIGMA_MIN == 0.5
+        assert bank.sigma_max == (bins - 1) / 2
+
     def test_direct_substitution(self):
-        # |X|^2 = 1 in every bin: sigma = alpha * f_nyq / (2 e_max) * 1 / centre,
-        # and alpha = 0.75 makes that scale 0.75 * 8 / 6 = 1
-        _, bank = make_bank(e_max=3, bins=9, alpha=0.75, sigma_min=0.01,
-                            sigma_max=100.0)
-        s = bank.apply(packed_spectrum(np.ones((1, 2, 9)), np.zeros((1, 2, 9)))).sigma.value.T
+        # |X|^2 = 3 in every bin: sigma = f_nyq / (2 e_max) * 3 / centre =
+        # (8 / 6) * 3 / centre = 4 / centre, inside [0.5, 4] for every filter
+        _, bank = make_bank(e_max=3, bins=9)
+        re = np.full((1, 2, 9), np.sqrt(3.0))
+        s = bank.apply(packed_spectrum(re, np.zeros_like(re))).sigma.value.T
         center = passbands(bank).mean(axis=1)
-        assert np.allclose(s, 1.0 / center[None, :])
+        assert np.all(s > bank.sigma_min) and np.all(s < bank.sigma_max)
+        assert np.allclose(s, 4.0 / center[None, :])
 
     def test_zero_spectrum_clamps_to_min(self):
-        _, bank = make_bank(e_max=3, bins=9, alpha=0.75, sigma_min=0.5,
-                            sigma_max=24.0)
+        _, bank = make_bank(e_max=3, bins=9)
         s = bank.apply(packed_spectrum(np.zeros((2, 2, 9)), np.zeros((2, 2, 9)))).sigma.value
         assert np.all(s == 0.5)
 
+    def test_loud_spectrum_clamps_to_max(self):
+        # |X|^2 = 1e6 puts every raw sigma far above f_nyq / 2 = 4
+        _, bank = make_bank(e_max=3, bins=9)
+        bp = bank.apply(packed_spectrum(np.full((2, 2, 9), 1e3), np.zeros((2, 2, 9))))
+        assert np.all(bp.raw_sigma.value > 100.0)
+        assert np.all(bp.sigma.value == 4.0)
+
     def test_inverse_proportional_to_center(self):
-        # mean |X|^2 = 3: sigma * centre is the same for every filter (the
-        # scale alpha * f_nyq / (2 e_max) is 1 * 8 / 8 = 1)
-        _, bank = make_bank(e_max=4, bins=9, alpha=1.0, sigma_min=1e-9,
-                            sigma_max=1e9)
-        re = np.full((1, 2, 9), np.sqrt(3.0))
+        # mean |X|^2 = 3.75: sigma * centre is the same for every filter (the
+        # scale f_nyq / (2 e_max) is 8 / 8 = 1), inside the clamp
+        _, bank = make_bank(e_max=4, bins=9)
+        re = np.full((1, 2, 9), np.sqrt(3.75))
         s = bank.apply(packed_spectrum(re, np.zeros_like(re))).sigma.value[:, 0]
         center = passbands(bank).mean(axis=1)
         assert len(np.unique(center)) == 4
-        assert np.allclose(s * center, 3.0)
+        assert np.all(s > bank.sigma_min) and np.all(s < bank.sigma_max)
+        assert np.allclose(s * center, 3.75)
 
     def test_bank_sigma_always_inside_bounds(self):
         rng = np.random.default_rng(2)
@@ -103,6 +118,15 @@ class TestAdaptiveSigma:
             spec = random_spectrum(rng, scale=scale)
             sig = bank.apply(spec).sigma.value
             assert np.all(sig >= bank.sigma_min) and np.all(sig <= bank.sigma_max)
+
+    @pytest.mark.parametrize("filter", ["dog", "truncation"])
+    def test_power_sums_bin_power_over_variables(self, filter):
+        # integer parts keep every sum exact
+        rng = np.random.default_rng(13)
+        _, bank = make_bank(e_max=3, bins=9, filter=filter)
+        re, im = rng.integers(-9, 10, size=(2, 3, 4, 9)).astype(np.float64)
+        power = bank.apply(packed_spectrum(re, im)).power
+        assert np.array_equal(power, (re * re + im * im).sum(axis=1))
 
 
 class TestInit:
@@ -205,8 +229,13 @@ class TestApply:
 class TestGradients:
     def test_filtering_path_including_sigma(self):
         rng = np.random.default_rng(10)
-        store, bank = make_bank(e_max=3, bins=9, sigma_min=0.05, sigma_max=20.0)
-        store.add("x", 0.5 * rng.standard_normal((2, 16, 2)).transpose(0, 2, 1))
+        store, bank = make_bank(e_max=3, bins=9)
+        # each sample scaled to a mean |X|^2 of 3.2, which puts every sigma,
+        # (8 / 6) * 3.2 / centre, inside the clamp [0.5, 4]
+        x = rng.standard_normal((2, 16, 2)).transpose(0, 2, 1)
+        re, im = np.split(spectrum_of(Variable(x)).value, 2, axis=-1)
+        mp = (re * re + im * im).mean(axis=(1, 2))
+        store.add("x", x * np.sqrt(3.2 / mp)[:, None, None])
 
         def build(s):
             # the sub-band product of tests/oracles.sub_bands, in ad ops so

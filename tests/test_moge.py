@@ -44,9 +44,8 @@ def squash(t):
 
 def reference_forward(store, model, x):
     """Straight-line scalar re-implementation of a depth-1 model."""
-    cfg = model.cfg
-    L, H, V, E = model.lookback, model.horizon, model.variables, cfg.e_max
     block = model.blocks[0]
+    L, H, V, E = model.lookback, model.horizon, model.variables, block.bank.e_max
     F = L // 2 + 1
     FO = H // 2 + 1
     fnyq = float(F - 1)
@@ -194,14 +193,13 @@ def packed(re, im) -> np.ndarray:
 
 class TestCoverageCount:
     def test_shares_by_hand(self):
-        # sample 0: P = [1+1, 1+1, 4+1] = [2, 2, 5]; h^2 = [1, 1/4, 0] and
-        # [0, 1, 1] give E = [2 + 1/2, 2 + 5] = [2.5, 7], shares 2.5/9.5 and
-        # 7/9.5, and 7/9.5 < 0.9 needs both experts.  Sample 1: P = [0, 0, 4]
-        # lies wholly under expert 1, so one expert covers it
-        spec = packed([[[1, 0, 2], [0, 1, 0]], [[0, 0, 2], [0, 0, 0]]],
-                      [[[0, 1, 0], [1, 0, 1]], [[0, 0, 0], [0, 0, 0]]])
+        # sample 0: P = [2, 2, 5]; h^2 = [1, 1/4, 0] and [0, 1, 1] give
+        # E = [2 + 1/2, 2 + 5] = [2.5, 7], shares 2.5/9.5 and 7/9.5, and
+        # 7/9.5 < 0.9 needs both experts.  Sample 1: P = [0, 0, 4] lies
+        # wholly under expert 1, so one expert covers it
+        power = np.array([[2.0, 2.0, 5.0], [0.0, 0.0, 4.0]])
         h = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 1.0]])[:, None].repeat(2, axis=1)
-        k, shares = moge.coverage_count(spec, h)
+        k, shares = moge.coverage_count(power, h)
         assert k.tolist() == [2, 1]
         assert shares.shape == (2, 2)
         assert np.allclose(shares[0], [2.5 / 9.5, 7.0 / 9.5], rtol=0, atol=1e-15)
@@ -210,17 +208,11 @@ class TestCoverageCount:
     def test_cumulative_share_exactly_at_tau(self):
         # one expert per bin: P = [1, 5, 4] gives shares [0.1, 0.5, 0.4], and
         # the two largest sum to exactly 0.9, which covers; [11, 50, 39] falls
-        # one hundredth short and needs the third.  Integer parts of two
-        # variables make each P exact
+        # one hundredth short and needs the third
         assert moge.COVERAGE == 0.9
         h = np.eye(3)[:, None]
-        for power, re, im, want in (
-            ([1, 5, 4], [[1, 2, 2], [0, 0, 0]], [[0, 1, 0], [0, 0, 0]], 2),
-            ([11, 50, 39], [[3, 7, 6], [1, 0, 1]], [[1, 1, 1], [0, 0, 1]], 3),
-        ):
-            spec = packed([re], [im])
-            assert np.array_equal((spec ** 2).sum(axis=1).reshape(2, 3).sum(axis=0), power)
-            k, shares = moge.coverage_count(spec, h)
+        for power, want in (([1, 5, 4], 2), ([11, 50, 39], 3)):
+            k, shares = moge.coverage_count(np.array([power], dtype=np.float64), h)
             assert k.tolist() == [want]
             assert np.allclose(shares[0], np.array(power) / sum(power), rtol=0, atol=1e-15)
 
@@ -232,8 +224,8 @@ class TestCoverageCount:
         bank = model.blocks[0].bank
         rng = np.random.default_rng(40)
         spec = packed(rng.integers(-9, 10, size=(5, 3, 9)), rng.integers(-9, 10, size=(5, 3, 9)))
-        h = bank.apply(Variable(spec)).h.value
-        k, shares = moge.coverage_count(spec, h)
+        bp = bank.apply(Variable(spec))
+        k, shares = moge.coverage_count(bp.power, bp.h.value)
         power = (spec ** 2).sum(axis=1)
         power = power[:, :9] + power[:, 9:]
         band = np.stack([power[:, m.astype(bool)].sum(axis=1) for m in bank._masks], axis=1)
@@ -248,18 +240,18 @@ class TestCoverageCount:
         h = np.random.default_rng(41).standard_normal((e_max, 2, 6))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            k, shares = moge.coverage_count(np.zeros((2, 3, 12)), h)
+            k, shares = moge.coverage_count(np.zeros((2, 6)), h)
         assert k.tolist() == [math.ceil(moge.COVERAGE * e_max)] * 2
         assert np.all(shares == 1.0 / e_max)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nonfinite_spectrum_keeps_k_in_range(self):
-        # a NaN or inf spectrum still yields a K that top-K selection
-        # accepts; the forecast carries the non-finite value instead
+        # a NaN or inf power still yields a K that top-K selection accepts;
+        # the forecast carries the non-finite value instead
         h = np.abs(np.random.default_rng(42).standard_normal((3, 2, 4)))
-        spec = np.ones((2, 1, 8))
-        spec[0, 0, 1], spec[1, 0, 2] = np.nan, np.inf
-        k, shares = moge.coverage_count(spec, h)
+        power = np.ones((2, 4))
+        power[0, 1], power[1, 2] = np.nan, np.inf
+        k, shares = moge.coverage_count(power, h)
         assert np.all((k >= 1) & (k <= 3))
         assert not np.isfinite(shares).all()
 
@@ -452,23 +444,27 @@ class TestForward:
         with pytest.raises(ValueError):
             model.predict(np.zeros((1, 12, 2)))
 
-    # at lookback 96 the auto sigma_max is 24
     @pytest.mark.parametrize("kw, key", [
-        ({"sigma_max": -1.0}, "model.sigma_max"),
+        # one bin: no band for a filter to pass
+        ({"lookback": 1}, "lookback"),
         ({"fixed_k": 8}, "model.fixed_k"),
-        ({"alpha": 0.0}, "model.alpha"),
-        ({"alpha": -1.0}, "model.alpha"),
-        ({"sigma_min": 0.0}, "model.sigma_min"),
-        ({"sigma_min": 30.0}, "model.sigma_min"),
+        ({"e_max": 0}, "model.e_max"),
+        ({"fixed_k": np.nan}, "model.fixed_k"),
+        ({"fixed_k": np.inf}, "model.fixed_k"),
+        # removed with no replacement
+        ({"filter": "abs-dog"}, "model.filter"),
         ({"feature_dim": 0}, "model.feature_dim"),
         ({"depth": 0}, "model.depth"),
         ({"filter": "boxcar"}, "model.filter"),
         ({"filter": "gaussian"}, "model.filter"),
         ({"fixed_k": -3}, "model.fixed_k"),
         ({"fixed_k": 0.5}, "model.fixed_k"),
-        ({"alpha": np.inf}, "model.alpha"),
-        ({"sigma_max": np.inf}, "model.sigma_max"),
-        ({"sigma_min": np.inf}, "model.sigma_min"),
+        # fixed_k is checked against the e_max given, not the default
+        ({"e_max": 2, "fixed_k": 3}, "model.fixed_k"),
+        # 2 bins at lookback 2
+        ({"lookback": 2, "e_max": 3}, "model.e_max"),
+        # filter names are case-sensitive
+        ({"filter": "DOG"}, "model.filter"),
         # 9 bins at lookback 16
         ({"lookback": 16, "e_max": 10}, "model.e_max"),
     ])
@@ -533,8 +529,8 @@ class TestDiagnostics:
             assert np.array_equal(d.sigmas, sigma)
             assert np.array_equal(d.responses, h)
             summary = moge.summarize(spec)
-            decision, shares, probs = block.gate_decision(summary.chi, spec,
-                                                          block.bank.apply(spec).h)
+            bp = block.bank.apply(spec)
+            decision, shares, probs = block.gate_decision(summary.chi, bp.power, bp.h)
             assert np.array_equal(d.mu, summary.mu.value)
             assert np.array_equal(d.e, summary.e.value)
             assert np.array_equal(d.probabilities, probs.value)
@@ -574,7 +570,7 @@ class TestLayout:
         with ad.Tape() as tape:
             loss = training.mse_loss(model.forward(Variable(x)), y)
             tape.backward(loss)
-        sub_band = (model.cfg.e_max, 5, 2, 2 * model.blocks[0].bins)
+        sub_band = (model.blocks[0].bank.e_max, 5, 2, 2 * model.blocks[0].bins)
         assert sub_band == (3, 5, 2, 18)
         assert all(out.value.shape != sub_band for _, out, _ in tape._nodes)
         assert len(tape) == nodes

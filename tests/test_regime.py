@@ -22,8 +22,8 @@ def test_coverage_keeps_more_experts_for_five_tones(record_property):
     store = ParameterStore()
     model = AdaMoGeModel(store, LOOKBACK, LOOKBACK, 3, ModelConfig(), seed=0)
     tc = TrainConfig(epochs=6, batch_size=32, patience=10, seed=0)
-    fit(model, ds, tc)
-    report = report_on_test(model, ds, tc.batch_size)
+    seconds = fit(model, ds, tc).seconds
+    report = report_on_test(model, ds, tc.batch_size, seconds=seconds)
     ks, regimes = [], []
     for batch in data.iter_windows(ds.values, ds.split.test, LOOKBACK, LOOKBACK, 256):
         diag = []
@@ -32,7 +32,7 @@ def test_coverage_keeps_more_experts_for_five_tones(record_property):
         first, last = batch.origins // PERIOD, (batch.origins + LOOKBACK - 1) // PERIOD
         regimes.append(np.where(first == last, first % 2, -1))  # -1: spans a switch
     k, regime = np.concatenate(ks), np.concatenate(regimes)
-    e = model.cfg.e_max
+    e = model.blocks[0].bank.e_max
     record = {
         "test_mse": report.mse,
         "k_mean_one_tone": float(k[regime == 0].mean()),

@@ -207,7 +207,8 @@ class TestFit:
         for _ in range(2):
             store, model = tiny_model(ds, seed=7)
             result = fit(model, ds, tc)
-            runs.append((result, report_on_test(model, ds, tc.batch_size), store.state_dict()))
+            runs.append((result, report_on_test(model, ds, tc.batch_size, seconds=result.seconds),
+                         store.state_dict()))
         (r1, report1, state1), (r2, report2, state2) = runs
         assert report1.mse == report2.mse
         assert report1.mae == report2.mae
@@ -242,7 +243,7 @@ class TestFit:
         assert result.diverged
         assert result.epochs_run == 2 and len(result.history) == 1
         assert result.best_val_mse == result.history[0][2]
-        assert np.isfinite(report_on_test(model, ds, tc.batch_size).mse)
+        assert np.isfinite(report_on_test(model, ds, tc.batch_size, seconds=result.seconds).mse)
         for name, arr in poisoned.poisoned_state.items():
             assert np.all(np.isfinite(arr))
             assert store[name].value.tobytes() == arr.tobytes(), name
@@ -260,7 +261,7 @@ class TestFit:
         monkeypatch.setattr(training, "iter_windows", spy)
         fit(model, ds, TrainConfig(epochs=2, batch_size=64, seed=3))
         assert touched and ds.split.test not in touched
-        report_on_test(model, ds, 64)
+        report_on_test(model, ds, 64, seconds=0.0)
         test_uses = [r for r in touched if r == ds.split.test]
         assert len(test_uses) == 1  # only the report
         assert touched[-1] == ds.split.test
@@ -272,8 +273,8 @@ class TestSyntheticRecovery:
         ds = tiny_dataset(rows=2400, seed=4)
         store, model = tiny_model(ds, seed=4)
         tc = TrainConfig(epochs=12, batch_size=32, patience=12, seed=4)
-        fit(model, ds, tc)
-        assert report_on_test(model, ds, tc.batch_size).mse < 0.15  # noise floor ~0.04 at 14 dB
+        seconds = fit(model, ds, tc).seconds
+        assert report_on_test(model, ds, tc.batch_size, seconds=seconds).mse < 0.15  # noise floor ~0.04 at 14 dB
 
 
 class TestGrid:
@@ -297,7 +298,8 @@ class TestGrid:
         gr = grid_search(ds, tc, grid_combinations(tc), build, lambda combo: "fp")
         model = tiny_model(ds, seed=5)[1]
         direct = fit(model, ds, tc)
-        assert gr.winner_report.mse == report_on_test(model, ds, tc.batch_size).mse
+        assert gr.winner_report.mse == report_on_test(model, ds, tc.batch_size,
+                                                      seconds=direct.seconds).mse
         assert gr.winner.val_mse == direct.best_val_mse
         assert gr.winner_report.fingerprint == "fp"
 
